@@ -28,7 +28,13 @@ from .sensor import (
     calibrate_flat_reference,
     calibrate_hover,
 )
-from .spatial import FrameId, RigidTransform, Wrench, transform_wrench
+from .spatial import (
+    FrameId,
+    RigidTransform,
+    Wrench,
+    transform_wrench,
+    transform_wrenches,
+)
 from .world import ContactResult, HeldObject, NoContactWithinRange, World
 
 
@@ -132,6 +138,26 @@ def propose_shift(estimate: ContactEstimate, config: PolicyConfig) -> np.ndarray
     return full[:2].copy()
 
 
+def _descent_rows(g_wr: RigidTransform, hover: Wrench, samples, times) -> np.ndarray:
+    """Trace rows (t, |f|, |tau|) of wrist-frame descent samples.
+
+    Each sample is taken to the assumed-COM frame and the hover baseline is
+    subtracted before the norms are taken.
+    """
+    torque, force = transform_wrenches(g_wr, samples)
+    return np.column_stack([
+        np.asarray(times, dtype=float),
+        _row_norms(force - hover.force),
+        _row_norms(torque - hover.torque),
+    ])
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # a stacked dot product per row: the bits np.linalg.norm gives one vector,
+    # which np.linalg.norm(axis=1) and einsum miss in the last place
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
 def settle_reading_at(world: World, sensor: ForceTorqueSensor, window: ReadingWindow,
                       tip_pose, contact: ContactResult | None) -> Wrench:
     """Settled, averaged sensor reading at a held pose, wrist frame."""
@@ -223,22 +249,19 @@ def run_placement(world: World, sensor: ForceTorqueSensor,
     series: list[np.ndarray] = []
 
     for index in range(config.max_iterations):
-        rows: list[tuple[float, float, float]] = []
+        samples: list[Wrench] = []
+        times: list[float] = []
 
         def tap(true_w: Wrench) -> None:
-            sampled = transform_wrench(g_wr, sensor.sample(true_w))
-            rows.append((
-                sensor.time,
-                float(np.linalg.norm(sampled.force - hover.force)),
-                float(np.linalg.norm(sampled.torque - hover.torque)),
-            ))
+            samples.append(sensor.sample(true_w))
+            times.append(sensor.time)
 
         try:
             press = press_and_estimate(
                 world, sensor, calibration, config, window, xy, approach_z, on_step=tap
             )
         except NoContactWithinRange:
-            series.append(np.array(rows).reshape(-1, 3))
+            series.append(_descent_rows(g_wr, hover, samples, times))
             return PlacementTrace(
                 outcome=PlacementOutcome.NO_CONTACT,
                 iterations=tuple(records),
@@ -246,7 +269,7 @@ def run_placement(world: World, sensor: ForceTorqueSensor,
                 released=False,
                 settled=False,
             )
-        series.append(np.array(rows).reshape(-1, 3))
+        series.append(_descent_rows(g_wr, hover, samples, times))
 
         if press.degenerate:
             # one stronger retry before this press counts as an iteration

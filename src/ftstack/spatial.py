@@ -61,7 +61,7 @@ def _as_vec3(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {arr}")
     return arr
 
@@ -235,6 +235,25 @@ def transform_wrench(g_ab: RigidTransform, wrench_a: Wrench) -> Wrench:
     rot_t = g_ab.rotation.T
     tau = rot_t @ (wrench_a.torque - np.cross(g_ab.translation, wrench_a.force))
     return Wrench(tau, rot_t @ wrench_a.force, frame=g_ab.child)
+
+
+def transform_wrenches(g_ab: RigidTransform, wrenches) -> tuple[np.ndarray, np.ndarray]:
+    """``transform_wrench`` over a sequence of parent-frame wrenches at once.
+
+    Returns the child-frame torques and forces as (N, 3) rows, bit for bit
+    the components ``transform_wrench`` gives one wrench at a time.
+    """
+    for w in wrenches:
+        if w.frame is not None and g_ab.parent is not None and w.frame != g_ab.parent:
+            raise FrameMismatch(
+                f"wrench in {w.frame.value} cannot transform via parent {g_ab.parent.value}"
+            )
+    torque = np.array([w.torque for w in wrenches]).reshape(-1, 3)
+    force = np.array([w.force for w in wrenches]).reshape(-1, 3)
+    rot_t = g_ab.rotation.T
+    # one stacked matrix-vector product per row, the product transform_wrench takes
+    tau = (rot_t @ (torque - np.cross(g_ab.translation, force))[:, :, None])[:, :, 0]
+    return tau, (rot_t @ force[:, :, None])[:, :, 0]
 
 
 def transform_twist(g_ab: RigidTransform, angular, linear) -> tuple[np.ndarray, np.ndarray]:

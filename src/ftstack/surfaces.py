@@ -8,6 +8,7 @@ composite from above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +163,8 @@ class HeightField:
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-D grid indexed [iy, ix]")
+        # while no cell holds material every query answers "empty"; _stamp sets it
+        self._has_material = bool(np.isfinite(self.values).any())
 
     @classmethod
     def empty(cls, x_range, y_range, pitch: float) -> "HeightField":
@@ -193,6 +196,8 @@ class HeightField:
         return v00, v10, v01, v11, tx, ty, finite
 
     def height(self, x, y):
+        if not self._has_material:
+            return np.full(np.broadcast(_arr(x), _arr(y)).shape, NO_SURFACE)
         fx, fy = self._fractional_index(x, y)
         v00, v10, v01, v11, tx, ty, finite = self._corners(fx, fy)
         # empty corners are masked out below; zero them first so the blend
@@ -207,6 +212,9 @@ class HeightField:
         return np.where(finite, h, NO_SURFACE)
 
     def grad(self, x, y):
+        if not self._has_material:
+            shape = np.broadcast(_arr(x), _arr(y)).shape
+            return np.zeros(shape), np.zeros(shape)
         fx, fy = self._fractional_index(x, y)
         v00, v10, v01, v11, tx, ty, finite = self._corners(fx, fy)
         v00, v10, v01, v11 = (np.where(finite, v, 0.0) for v in (v00, v10, v01, v11))
@@ -215,31 +223,49 @@ class HeightField:
         return np.where(finite, gx, 0.0), np.where(finite, gy, 0.0)
 
     def stamp_disk(self, center, radius: float, height_fn) -> None:
-        self._stamp(center, lambda dx, dy: dx * dx + dy * dy <= radius * radius, height_fn)
+        self._stamp(
+            center, radius, lambda dx, dy: dx * dx + dy * dy <= radius * radius, height_fn
+        )
 
     def stamp_square(self, center, half_side: float, height_fn) -> None:
         self._stamp(
             center,
+            half_side,
             lambda dx, dy: (np.abs(dx) <= half_side) & (np.abs(dy) <= half_side),
             height_fn,
         )
 
-    def _stamp(self, center, mask_fn, height_fn) -> None:
-        # max-update the covered grid nodes with the object's top surface
+    def _stamp(self, center, reach: float, mask_fn, height_fn) -> None:
+        # max-update the covered grid nodes with the object's top surface;
+        # only the index window within ``reach`` of the center (plus a node of
+        # slack for rounding) can pass mask_fn, so only that window is scanned
         ny, nx = self.values.shape
-        xs = self.origin[0] + self.pitch * np.arange(nx)
-        ys = self.origin[1] + self.pitch * np.arange(ny)
+        ix0, ix1 = _index_window(center[0] - self.origin[0], reach, self.pitch, nx)
+        iy0, iy1 = _index_window(center[1] - self.origin[1], reach, self.pitch, ny)
+        if ix0 >= ix1 or iy0 >= iy1:
+            return
+        xs = self.origin[0] + self.pitch * np.arange(ix0, ix1)
+        ys = self.origin[1] + self.pitch * np.arange(iy0, iy1)
         dx = xs[None, :] - center[0]
         dy = ys[:, None] - center[1]
         dxg, dyg = np.broadcast_arrays(dx, dy)
         mask = mask_fn(dxg, dyg)
         if not mask.any():
             return
+        window = self.values[iy0:iy1, ix0:ix1]
         new = height_fn(dxg[mask], dyg[mask])
-        current = self.values[mask]
-        self.values[mask] = np.where(
+        current = window[mask]
+        window[mask] = np.where(
             np.isfinite(current), np.maximum(current, new), new
         )
+        self._has_material = True
+
+
+def _index_window(offset: float, reach: float, pitch: float, n: int) -> tuple[int, int]:
+    """Clipped [lo, hi) range of grid indices within reach of offset, plus one of slack."""
+    lo = math.floor((offset - reach) / pitch) - 1
+    hi = math.ceil((offset + reach) / pitch) + 2
+    return max(lo, 0), min(hi, n)
 
 
 @dataclass(frozen=True)

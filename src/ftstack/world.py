@@ -271,10 +271,12 @@ class World:
 
         Steps down by descent_step until the spring force meets
         resistance_threshold (detection), then settles at exactly the
-        threshold compression, like a force-servo halt. ``on_step`` is called
-        with the true wrist wrench at every stepped pose, which is where the
-        contact-approach time series comes from. Raises NoContactWithinRange
-        when the bottom face passes the descent floor untouched.
+        threshold compression, like a force-servo halt. All stepped poses,
+        and their true wrist wrenches, are computed in one vectorized pass;
+        ``on_step`` is then called once per stepped pose, in order, with that
+        pose's wrench, which is where the contact-approach time series comes
+        from. Raises NoContactWithinRange, after those calls, when the bottom
+        face passes the descent floor untouched.
         """
         obj = self._require_held()
         if resistance_threshold <= 0.0:
@@ -296,29 +298,50 @@ class World:
 
         xy = np.asarray(xy, dtype=float)
         step = self.params.descent_step
-        n = 0
-        while True:
-            z_bottom = bottom_start - n * step
-            pen = z_touch - z_bottom if np.isfinite(z_touch) else 0.0
-            force = self.params.spring_k * pen if pen > 0.0 else 0.0
-            if on_step is not None:
-                tip = np.array([xy[0], xy[1], z_bottom + obj.tip_to_bottom])
-                if force > 0.0 and contact_geom is not None:
-                    w = self.true_wrist_wrench(tip, _with_force(contact_geom, force, pen))
-                else:
-                    w = self.true_wrist_wrench(tip, None)
-                on_step(w)
-            if force >= resistance_threshold:
-                break
-            if z_bottom <= self.params.descent_floor and force <= 0.0:
-                raise NoContactWithinRange(
-                    f"no resistance above the floor {self.params.descent_floor} m at "
-                    f"xy ({xy[0]:.3f}, {xy[1]:.3f})"
-                )
-            n += 1
+        floor = self.params.descent_floor
+        # The range only has to reach the stop, so it runs a few steps past
+        # the travel to the threshold compression or, failing contact, past
+        # the floor; which step stops is decided by the comparisons below.
+        travel = bottom_start - floor + pen_target + step
+        if np.isfinite(z_touch):
+            travel = min(travel, bottom_start - z_touch + pen_target)
+        n = np.arange(int(max(travel, 0.0) / step) + 3)
+        z_bottom = bottom_start - n * step
+        if np.isfinite(z_touch):
+            pen = z_touch - z_bottom
+        else:
+            pen = np.zeros_like(z_bottom)
+        force = np.where(pen > 0.0, self.params.spring_k * pen, 0.0)
+        detected = force >= resistance_threshold
+        stops = np.flatnonzero(detected | ((z_bottom <= floor) & (force <= 0.0)))
+        if stops.size == 0:
+            raise RuntimeError(
+                f"descent range of {n.size} steps misses the stop at "
+                f"xy ({xy[0]:.3f}, {xy[1]:.3f})"
+            )
+        last = int(stops[0])
+
+        if on_step is not None:
+            z_steps, f_steps = z_bottom[: last + 1], force[: last + 1]
+            tips = np.empty((last + 1, 3))
+            tips[:, :2] = xy
+            tips[:, 2] = z_steps + obj.tip_to_bottom
+            touching = f_steps > 0.0
+            if touching.any():
+                fc = f_steps[touching, None] * contact_geom.surface_normal
+                tau, f = self._wrist_wrench_rows(tips, contact_geom.contact_point, fc, touching)
+            else:
+                tau, f = self._wrist_wrench_rows(tips)
+            for i in range(last + 1):
+                on_step(Wrench(tau[i], f[i], frame=FrameId.WRIST))
+        if not detected[last]:
+            raise NoContactWithinRange(
+                f"no resistance above the floor {floor} m at "
+                f"xy ({xy[0]:.3f}, {xy[1]:.3f})"
+            )
 
         z_stop = z_touch - pen_target
-        contact = self._contact_at(touch, pts, tower, resistance_threshold, pen_target)
+        contact = _with_force(contact_geom, float(resistance_threshold), float(pen_target))
         return contact, float(z_stop + obj.tip_to_bottom)
 
     # -- wrench synthesis ---------------------------------------------------
@@ -336,25 +359,37 @@ class World:
         the gripper's supporting wrench is their negation and is what the arm
         provides through the sensor.
         """
+        tips = np.asarray(tip_pose, dtype=float)[None, :]
+        if contact is None:
+            tau, f = self._wrist_wrench_rows(tips)
+        else:
+            tau, f = self._wrist_wrench_rows(tips, contact.contact_point, contact.force[None, :])
+        return Wrench(tau[0], f[0], frame=FrameId.WRIST)
+
+    def _wrist_wrench_rows(self, tips, contact_point=None, contact_force=None,
+                           touching=slice(None)):
+        """Torque and force rows of the true wrist wrench at (N, 3) tip poses.
+
+        ``contact_force`` holds one row per pose selected by ``touching``;
+        those poses add the contact wrench applied at ``contact_point``.
+        """
         obj = self._require_held()
-        tip = np.asarray(tip_pose, dtype=float)
-        wrist = tip + np.array([0.0, 0.0, self.params.wrist_lift])
+        wrist = tips + np.array([0.0, 0.0, self.params.wrist_lift])
         g = self.params.gravity
 
-        tau = np.zeros(3)
-        f = np.zeros(3)
+        tau = np.zeros(tips.shape)
+        f = np.zeros(tips.shape)
         f_obj = np.array([0.0, 0.0, -obj.mass * g])
-        tau += np.cross(tip + obj.com_offset - wrist, f_obj)
+        tau += np.cross(tips + obj.com_offset - wrist, f_obj)
         f += f_obj
         if self.params.gripper_mass > 0.0:
             f_grip = np.array([0.0, 0.0, -self.params.gripper_mass * g])
-            tau += np.cross(tip - wrist, f_grip)
+            tau += np.cross(tips - wrist, f_grip)
             f += f_grip
-        if contact is not None:
-            fc = contact.force
-            tau += np.cross(contact.contact_point - wrist, fc)
-            f += fc
-        return Wrench(tau, f, frame=FrameId.WRIST)
+        if contact_force is not None:
+            tau[touching] += np.cross(contact_point - wrist[touching], contact_force)
+            f[touching] += contact_force
+        return tau, f
 
     # -- release ------------------------------------------------------------
 

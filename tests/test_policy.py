@@ -23,7 +23,7 @@ from ftstack.sensor import (
     ReadingWindow,
     SensorConfig,
 )
-from ftstack.spatial import FrameId
+from ftstack.spatial import FrameId, transform_wrench
 from ftstack.surfaces import FlatPlane, Puck, RampPatch, SphericalCap
 from ftstack.world import Footprint, HeldObject, World
 
@@ -224,6 +224,45 @@ class TestRunPlacement:
             assert ra.residual_norm == rb.residual_norm
         for sa, sb in zip(a.descent_series, b.descent_series):
             assert np.array_equal(sa, sb)
+
+
+class RecordingSensor(ForceTorqueSensor):
+    """Keeps every sampled wrench under the clock reading that follows it."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.by_time = {}
+
+    def sample(self, true_wrench):
+        out = super().sample(true_wrench)
+        self.by_time[self.time] = out
+        return out
+
+
+class TestDescentRows:
+    @pytest.mark.parametrize("surfaces, start_xy", [
+        ([FlatPlane(0.0), Puck((0.0, 0.0), 0.05, 0.04)], (0.03, -0.01)),
+        ([FlatPlane(0.0), RampPatch((-0.25, 0.25), (-0.05, 0.25), 0.02,
+                                    np.radians(15.0), np.pi / 2)], (0.0, 0.1)),
+        ([Puck(CAL_XY, 0.07, 0.02)], (0.0, 0.0)),  # no material: rows before the raise
+    ])
+    def test_rows_match_per_sample_transform_and_norm(self, surfaces, start_xy):
+        world = World(surfaces)
+        world.hold(make_disk(com_offset=np.array([0.006, 0.004, 0.0])))
+        config = PolicyConfig(max_iterations=3)
+        state = calibrated(world, quiet_sensor(), config)
+        sensor = RecordingSensor(SensorConfig(seed=21, bias_torque=(0.02, -0.01, 0.005),
+                                              bias_force=(0.3, 0.1, -0.2)))
+        trace = run_placement(world, sensor, state, config, start_xy, 0.1)
+
+        g_wr = com_frame_transform(world.params.wrist_lift)
+        hover = transform_wrench(g_wr, state.hover_baseline)
+        assert sum(len(series) for series in trace.descent_series) > 0
+        for series in trace.descent_series:
+            for t, f_norm, tau_norm in series:
+                sampled = transform_wrench(g_wr, sensor.by_time[t])
+                assert f_norm == float(np.linalg.norm(sampled.force - hover.force))
+                assert tau_norm == float(np.linalg.norm(sampled.torque - hover.torque))
 
 
 class TestReleaseSoundness:

@@ -20,6 +20,7 @@ from ftstack.spatial import (
     tangent_projection,
     transform_twist,
     transform_wrench,
+    transform_wrenches,
     wrench_transform_matrix,
 )
 
@@ -182,3 +183,26 @@ def test_rotation_stays_orthonormal_under_composition(seed):
     g = compose(random_transform(rng), random_transform(rng))
     np.testing.assert_allclose(g.rotation @ g.rotation.T, np.eye(3), atol=1e-12)
     assert np.linalg.det(g.rotation) > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 40))
+def test_batched_wrench_transform_matches_one_at_a_time(seed, count):
+    rng = np.random.default_rng(seed)
+    g = random_transform(rng)
+    wrenches = [Wrench(rng.normal(size=3), 20.0 * rng.normal(size=3)) for _ in range(count)]
+    tau, f = transform_wrenches(g, wrenches)
+    assert tau.shape == f.shape == (count, 3)
+    for i, w in enumerate(wrenches):
+        one = transform_wrench(g, w)
+        assert np.array_equal(tau[i], one.torque)
+        assert np.array_equal(f[i], one.force)
+
+
+def test_batched_wrench_transform_checks_frames():
+    g = RigidTransform(np.eye(3), np.ones(3), parent=FrameId.WRIST, child=FrameId.ROCK_COM)
+    ok = Wrench(np.zeros(3), np.ones(3), frame=FrameId.WRIST)
+    bad = Wrench(np.zeros(3), np.ones(3), frame=FrameId.BASE)
+    transform_wrenches(g, [ok, Wrench(np.zeros(3), np.ones(3))])
+    with pytest.raises(FrameMismatch):
+        transform_wrenches(g, [ok, bad])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftstack.surfaces import (
     NO_SURFACE,
@@ -120,6 +122,91 @@ class TestHeightField:
         gx, gy = hf.grad(0.001, 0.001)
         assert float(gx) == pytest.approx(0.5, rel=1e-9)
         assert float(gy) == pytest.approx(0.0, abs=1e-12)
+
+
+def reference_stamp(values, origin, pitch, center, mask_fn, height_fn):
+    """Max-update over the whole raster, as a stamp that scans every node."""
+    ny, nx = values.shape
+    xs = origin[0] + pitch * np.arange(nx)
+    ys = origin[1] + pitch * np.arange(ny)
+    dxg, dyg = np.broadcast_arrays(xs[None, :] - center[0], ys[:, None] - center[1])
+    mask = mask_fn(dxg, dyg)
+    if mask.any():
+        new = height_fn(dxg[mask], dyg[mask])
+        current = values[mask]
+        values[mask] = np.where(np.isfinite(current), np.maximum(current, new), new)
+
+
+stamp_specs = st.tuples(
+    st.sampled_from(["disk", "square"]),
+    st.floats(-0.16, 0.16),          # center x, past the raster edge at 0.1
+    st.floats(-0.16, 0.16),          # center y
+    st.floats(0.001, 0.06),          # radius or half side
+    st.floats(0.0, 0.05),            # top height
+    st.floats(0.0, 0.003),           # undulation amplitude
+)
+
+
+class TestWindowedStamp:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(stamp_specs, min_size=1, max_size=4))
+    def test_matches_the_whole_raster_stamp(self, specs):
+        hf = HeightField.empty((-0.1, 0.1), (-0.1, 0.1), 0.002)
+        want = hf.values.copy()
+        for kind, cx, cy, size, top, amp in specs:
+            def top_fn(dx, dy, top=top, amp=amp):
+                return top + amp * np.cos(300.0 * dx) * np.cos(300.0 * dy)
+
+            if kind == "disk":
+                hf.stamp_disk((cx, cy), size, top_fn)
+                mask_fn = lambda dx, dy, r=size: dx * dx + dy * dy <= r * r  # noqa: E731
+            else:
+                hf.stamp_square((cx, cy), size, top_fn)
+                mask_fn = lambda dx, dy, h=size: (np.abs(dx) <= h) & (np.abs(dy) <= h)  # noqa: E731
+            reference_stamp(want, hf.origin, hf.pitch, (cx, cy), mask_fn, top_fn)
+            assert np.array_equal(hf.values, want)
+
+    def test_on_grid_edges_and_corners(self):
+        # centers and reaches on grid nodes exercise the window's rounding slack
+        hf = HeightField.empty((-0.1, 0.1), (-0.1, 0.1), 0.002)
+        want = hf.values.copy()
+        for center in [(0.0, 0.0), (0.1, 0.1), (-0.1, 0.05), (0.11, 0.0), (0.2, 0.2)]:
+            hf.stamp_square(center, 0.01, lambda dx, dy: 0.02 + dx)
+            reference_stamp(want, hf.origin, hf.pitch, center,
+                            lambda dx, dy: (np.abs(dx) <= 0.01) & (np.abs(dy) <= 0.01),
+                            lambda dx, dy: 0.02 + dx)
+        assert np.array_equal(hf.values, want)
+        assert np.isfinite(hf.values[-1, -1]) and not np.isfinite(hf.values[0, 0])
+
+
+class TestEmptyRaster:
+    @pytest.mark.parametrize("x, y", [
+        (0.0, 0.0),
+        (np.linspace(-0.2, 0.2, 7), 0.01),
+        (np.zeros((2, 3)), np.linspace(-0.1, 0.1, 3)),
+    ])
+    def test_height_and_grad_answer_empty(self, x, y):
+        hf = HeightField.empty((-0.1, 0.1), (-0.1, 0.1), 0.002)
+        shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
+        h = hf.height(x, y)
+        gx, gy = hf.grad(x, y)
+        for out in (h, gx, gy):
+            assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == float
+        assert np.all(h == NO_SURFACE)
+        assert np.all(gx == 0.0) and np.all(gy == 0.0)
+
+    def test_material_from_given_values_and_from_stamps(self):
+        values = np.full((5, 5), NO_SURFACE)
+        values[1:3, 1:3] = 0.01
+        given_values = HeightField((0.0, 0.0), 0.01, values)
+        assert given_values.height(0.015, 0.015) == pytest.approx(0.01)
+
+        blank = HeightField((0.0, 0.0), 0.01, np.full((5, 5), NO_SURFACE))
+        assert blank.height(0.015, 0.015) == NO_SURFACE
+        blank.stamp_square((0.015, 0.015), 0.006, lambda dx, dy: 0.02 + dx)
+        assert blank.height(0.015, 0.015) == pytest.approx(0.02)
+        gx, _ = blank.grad(0.015, 0.015)
+        assert float(gx) == pytest.approx(1.0)
 
 
 class TestLayeredSurface:

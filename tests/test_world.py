@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftstack.estimation import estimate_contact
 from ftstack.spatial import FrameId, Wrench, transform_wrench
 from ftstack.surfaces import NO_SURFACE, FlatPlane, Puck, RampPatch, SphericalCap
 from ftstack.world import (
+    BottomProfile,
     ContactResult,
     Footprint,
     HeldObject,
@@ -106,6 +109,134 @@ class TestDescent:
         world = World(FlatPlane(0.0))
         with pytest.raises(RuntimeError):
             world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
+
+
+def reference_wrist_wrench(world, tip, contact_point=None, contact_force=None):
+    """The wrist wrench of one pose from 1-D cross products."""
+    obj, params = world.held, world.params
+    wrist = tip + np.array([0.0, 0.0, params.wrist_lift])
+    tau = np.zeros(3)
+    f = np.zeros(3)
+    f_obj = np.array([0.0, 0.0, -obj.mass * params.gravity])
+    tau += np.cross(tip + obj.com_offset - wrist, f_obj)
+    f += f_obj
+    if params.gripper_mass > 0.0:
+        f_grip = np.array([0.0, 0.0, -params.gripper_mass * params.gravity])
+        tau += np.cross(tip - wrist, f_grip)
+        f += f_grip
+    if contact_force is not None:
+        tau += np.cross(contact_point - wrist, contact_force)
+        f += contact_force
+    return tau, f
+
+
+def reference_descent(world, xy, threshold, start_tip_z):
+    """The descent as a loop over 0.5 mm steps, one wrist wrench per step.
+
+    Returns the per-step (torque, force) pairs, then the stop contact and tip
+    height, or None for both when the bottom passes the floor untouched.
+    """
+    obj, params = world.held, world.params
+    touch, pts, tower = world._touch_profile(xy)
+    finite = np.isfinite(touch)
+    z_touch = float(np.max(touch[finite])) if finite.any() else NO_SURFACE
+    bottom_start = float(start_tip_z) - obj.tip_to_bottom
+    pen_target = threshold / params.spring_k
+    geom = world._contact_at(touch, pts, tower, 0.0, 0.0) if np.isfinite(z_touch) else None
+    steps = []
+    n = 0
+    while True:
+        z_bottom = bottom_start - n * params.descent_step
+        pen = z_touch - z_bottom if np.isfinite(z_touch) else 0.0
+        force = params.spring_k * pen if pen > 0.0 else 0.0
+        tip = np.array([xy[0], xy[1], z_bottom + obj.tip_to_bottom])
+        if force > 0.0 and geom is not None:
+            steps.append(reference_wrist_wrench(
+                world, tip, geom.contact_point, force * geom.surface_normal))
+        else:
+            steps.append(reference_wrist_wrench(world, tip))
+        if force >= threshold:
+            contact = world._contact_at(touch, pts, tower, threshold, pen_target)
+            return steps, contact, float(z_touch - pen_target + obj.tip_to_bottom)
+        if z_bottom <= params.descent_floor and force <= 0.0:
+            return steps, None, None
+        n += 1
+
+
+def descent_case(case, gripper_mass, step, x, y, com):
+    """A world holding an object over the terrain of one named case."""
+    params = SimParams(gripper_mass=gripper_mass, descent_step=step)
+    obj = make_disk(com_offset=np.array([com, -0.5 * com, 0.003]))
+    if case == "flat":
+        # first touch within 2 mm of the descent floor, above or below it
+        surfaces = [FlatPlane(params.descent_floor + 0.05 * x)]
+    elif case == "puck_edge":
+        surfaces = [FlatPlane(0.0), Puck((0.0, 0.0), 0.05, 0.04)]
+        x = 0.05 + x
+    elif case == "ramp":
+        surfaces = [FlatPlane(0.0),
+                    RampPatch((-0.2, 0.2), (-0.2, 0.2), 0.02, np.radians(15.0), 0.7)]
+    elif case == "dome_bottom":
+        surfaces = [FlatPlane(0.0), Puck((0.0, 0.0), 0.03, 0.01)]
+        obj = make_disk(com_offset=obj.com_offset,
+                        bottom=BottomProfile("dome", curvature_radius=0.3))
+    else:  # no material anywhere under the footprint
+        surfaces = [RampPatch((0.2, 0.25), (0.2, 0.25), 0.0, np.radians(10.0))]
+    world = World(surfaces, params=params)
+    world.hold(obj)
+    return world, (x, y)
+
+
+class TestBatchedDescent:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=st.sampled_from(["flat", "puck_edge", "ramp", "dome_bottom", "no_material"]),
+        gripper_mass=st.sampled_from([0.0, 0.35]),
+        step=st.sampled_from([5e-4, 3e-4, 1.1e-3]),
+        x=st.floats(-0.04, 0.04),
+        y=st.floats(-0.04, 0.04),
+        com=st.floats(-0.01, 0.01),
+        threshold=st.floats(0.5, 40.0),
+        clearance=st.floats(1e-4, 0.03),
+    )
+    def test_matches_the_step_loop(self, case, gripper_mass, step, x, y, com,
+                                   threshold, clearance):
+        world, xy = descent_case(case, gripper_mass, step, x, y, com)
+        touch, _, _ = world._touch_profile(xy)
+        finite = np.isfinite(touch)
+        top = float(np.max(touch[finite])) if finite.any() else 0.0
+        start = top + world.held.tip_to_bottom + clearance
+
+        steps, want_contact, want_z = reference_descent(world, xy, threshold, start)
+        got = []
+        if want_contact is None:
+            with pytest.raises(NoContactWithinRange):
+                world.descend_until_contact(xy, threshold, start, on_step=got.append)
+        else:
+            contact, tip_z = world.descend_until_contact(xy, threshold, start,
+                                                         on_step=got.append)
+            assert tip_z == want_z
+            for name in ("contact_point", "surface_normal", "contact_patch"):
+                assert np.array_equal(getattr(contact, name), getattr(want_contact, name))
+            assert contact.penetration == want_contact.penetration
+            assert contact.normal_force_magnitude == want_contact.normal_force_magnitude
+        assert len(got) == len(steps)
+        for w, (tau, f) in zip(got, steps):
+            assert w.frame is FrameId.WRIST
+            assert np.array_equal(w.torque, tau)
+            assert np.array_equal(w.force, f)
+
+    def test_true_wrist_wrench_matches_the_reference(self):
+        world = World(FlatPlane(0.0), params=SimParams(gripper_mass=0.2))
+        world.hold(make_disk(com_offset=np.array([0.004, -0.007, 0.002])))
+        contact, tip_z = world.descend_until_contact((0.01, 0.02), 10.0, 0.1)
+        tip = np.array([0.01, 0.02, tip_z])
+        for c in (None, contact):
+            w = world.true_wrist_wrench(tip, c)
+            args = () if c is None else (c.contact_point, c.force)
+            tau, f = reference_wrist_wrench(world, tip, *args)
+            assert np.array_equal(w.torque, tau)
+            assert np.array_equal(w.force, f)
 
 
 class TestWristWrench:
