@@ -19,6 +19,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -34,7 +35,6 @@ from .policy import (
     run_stack,
 )
 from .scenario import (
-    PLACEMENT_FAMILIES,
     Scenario,
     build_object,
     build_policy,
@@ -88,9 +88,8 @@ def _listify(a) -> list:
     return [float(v) for v in np.asarray(a, dtype=float).ravel()]
 
 
-def _trace_rows(trace) -> tuple[list, list]:
-    descents = [[[float(v) for v in row] for row in series.tolist()]
-                for series in trace.descent_series]
+def _trace_row(trace) -> dict:
+    """One placement trace's outcome, descent series and iteration rows."""
     iterations = [
         {
             "index": rec.index,
@@ -106,28 +105,44 @@ def _trace_rows(trace) -> tuple[list, list]:
         }
         for rec in trace.iterations
     ]
-    return descents, iterations
+    return {
+        "outcome": trace.outcome.value,
+        "iterations": len(trace.iterations),
+        "final_com": None if trace.final_com is None else _listify(trace.final_com),
+        "descents": [series.tolist() for series in trace.descent_series],
+        "iteration_rows": iterations,
+    }
 
 
 # -- per-trial runners (top level so worker processes can import them) --------
 
 
+def _calibrated(scenario: Scenario, rng_scn, rng_sen, section: dict):
+    """A world holding a freshly drawn object, calibrated at the section's
+    calibration_xy and hover_tip_z; returns the world, object, sensor,
+    policy config, reading window and calibration."""
+    world = build_world(scenario)
+    obj = build_object(scenario, rng_scn)
+    world.hold(obj)
+    sensor = build_sensor(scenario, rng_sen)
+    config = build_policy(scenario)
+    window = build_window(scenario)
+    calibration = calibrate_for_held(
+        world, sensor, config, window,
+        section["calibration_xy"], section["hover_tip_z"],
+    )
+    return world, obj, sensor, config, window, calibration
+
+
 def _placement_trial(scenario: Scenario, trial: int) -> dict:
     rng_scn, rng_sen = _trial_rngs(scenario.seed, trial)
     row: dict = {"trial": trial}
+    place = scenario.placement
     try:
-        world = build_world(scenario)
-        obj = build_object(scenario, rng_scn)
+        world, obj, sensor, config, window, calibration = _calibrated(
+            scenario, rng_scn, rng_sen, place)
+        # the scenario stream draws the object first, then the start xy
         start_xy = sample_start_xy(scenario, rng_scn)
-        world.hold(obj)
-        sensor = build_sensor(scenario, rng_sen)
-        config = build_policy(scenario)
-        window = build_window(scenario)
-        place = scenario.placement
-        calibration = calibrate_for_held(
-            world, sensor, config, window,
-            place["calibration_xy"], place["hover_tip_z"],
-        )
         trace = run_placement(
             world, sensor, calibration, config, start_xy,
             start_tip_z=place["hover_tip_z"], window=window,
@@ -136,15 +151,10 @@ def _placement_trial(scenario: Scenario, trial: int) -> dict:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    descents, iterations = _trace_rows(trace)
     row.update({
-        "outcome": trace.outcome.value,
-        "iterations": len(trace.iterations),
         "start_xy": _listify(start_xy),
         "com_offset": _listify(obj.com_offset),
-        "final_com": None if trace.final_com is None else _listify(trace.final_com),
-        "descents": descents,
-        "iteration_rows": iterations,
+        **_trace_row(trace),
     })
 
     stable_xy = place["stable_xy"]
@@ -192,21 +202,11 @@ def _stack_trial(scenario: Scenario, trial: int) -> dict:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    objects_out = []
-    for i, trace in enumerate(result.traces):
-        descents, iterations = _trace_rows(trace)
-        objects_out.append({
-            "object": i,
-            "outcome": trace.outcome.value,
-            "iterations": len(trace.iterations),
-            "final_com": None if trace.final_com is None else _listify(trace.final_com),
-            "descents": descents,
-            "iteration_rows": iterations,
-        })
     row.update({
         "placed": result.placed,
         "success": bool(result.success),
-        "objects": objects_out,
+        "objects": [{"object": i, **_trace_row(trace)}
+                    for i, trace in enumerate(result.traces)],
     })
     return row
 
@@ -234,16 +234,8 @@ def _sweep_trial(scenario: Scenario, trial: int) -> dict:
         "direction_deg": float(direction_deg),
     }
     try:
-        world = build_world(scenario)
-        obj = build_object(scenario, rng_scn)
-        world.hold(obj)
-        sensor = build_sensor(scenario, rng_sen)
-        config = build_policy(scenario)
-        window = build_window(scenario)
-        calibration = calibrate_for_held(
-            world, sensor, config, window,
-            sweep["calibration_xy"], sweep["hover_tip_z"],
-        )
+        world, _, sensor, config, window, calibration = _calibrated(
+            scenario, rng_scn, rng_sen, sweep)
         press = press_and_estimate(
             world, sensor, calibration, config, window,
             press_xy, sweep["hover_tip_z"],
@@ -311,8 +303,8 @@ def _press_trial(scenario: Scenario, trial: int) -> dict:
         finger = np.array([0.0, 0.0, -push])
         press_true = Wrench(np.cross(offset, finger), hover_true.force + finger,
                             frame=FrameId.ROCK_COM)
-        hover = sensor.settle_and_average(lambda: hover_true, window)
-        reading = sensor.settle_and_average(lambda: press_true, window)
+        hover = sensor.settle_and_average(hover_true, window)
+        reading = sensor.settle_and_average(press_true, window)
         calibrated = Wrench(reading.torque - hover.torque, reading.force,
                             frame=FrameId.ROCK_COM)
         estimate = estimate_contact(calibrated, hover.force,
@@ -331,18 +323,8 @@ def _press_trial(scenario: Scenario, trial: int) -> dict:
     return row
 
 
-_TRIAL_RUNNERS = {
-    "zero_offset": _placement_trial,
-    "offset_recovery": _placement_trial,
-    "ramp": _placement_trial,
-    "multi_stack": _stack_trial,
-    "noise_sweep": _sweep_trial,
-    "finger_press": _press_trial,
-}
-
-
 def _run_trials(scenario: Scenario, jobs: int) -> list[dict]:
-    runner = _TRIAL_RUNNERS[scenario.family]
+    runner = _FAMILIES[scenario.family].run
     trials = range(scenario.trials)
     if jobs <= 1:
         return [runner(scenario, t) for t in trials]
@@ -353,34 +335,57 @@ def _run_trials(scenario: Scenario, jobs: int) -> list[dict]:
 
 # -- aggregation ---------------------------------------------------------------
 
+# per-trial row key -> CSV header; the same keys, in order, make each
+# trial's report entry
+_SWEEP_COLUMNS = {
+    "trial": "trial",
+    "magnitude": "magnitude_m",
+    "direction_deg": "direction_deg",
+    "angle_error_deg": "angle_error_deg",
+    "press_force": "press_force_N",
+    "degenerate": "degenerate",
+}
+_PRESS_COLUMNS = {
+    "trial": "trial",
+    "torque": "torque_Nm",
+    "direction_deg": "direction_deg",
+    "press_force": "press_force_N",
+    "angle_error_deg": "angle_error_deg",
+    "degenerate": "degenerate",
+}
+
+
+def _finite(values: list) -> list:
+    return [v for v in values if v is not None and not math.isnan(v)]
+
 
 def _median(values: list) -> float | None:
-    clean = [v for v in values if v is not None and not math.isnan(v)]
-    if not clean:
-        return None
-    return float(np.median(clean))
+    clean = _finite(values)
+    return float(np.median(clean)) if clean else None
 
 
 def _mean(values: list) -> float | None:
-    clean = [v for v in values if v is not None and not math.isnan(v)]
-    if not clean:
-        return None
-    return float(np.mean(clean))
+    clean = _finite(values)
+    return float(np.mean(clean)) if clean else None
 
 
-OUTCOME_ORDER = ("released_stable", "released_toppled", "max_iterations", "no_contact")
+def _errors(rows: list[dict]) -> int:
+    return sum(1 for r in rows if "error" in r)
+
+
+def _per_trial(rows: list[dict], entry: Callable[[dict], dict]) -> list[dict]:
+    """Each trial's report entry; a failed trial keeps only its index and error."""
+    return [{"trial": r["trial"], "error": r["error"]} if "error" in r else entry(r)
+            for r in rows]
 
 
 def _aggregate_placement(scenario: Scenario, rows: list[dict]) -> dict:
-    counts = {name: 0 for name in OUTCOME_ORDER}
-    errors = 0
+    counts = {o.value: 0 for o in PlacementOutcome}
     iteration_counts = []
     for row in rows:
-        if "error" in row:
-            errors += 1
-            continue
-        counts[row["outcome"]] += 1
-        iteration_counts.append(row["iterations"])
+        if "error" not in row:
+            counts[row["outcome"]] += 1
+            iteration_counts.append(row["iterations"])
     successes = counts["released_stable"]
     lo, hi = wilson_interval(successes, scenario.trials)
 
@@ -402,60 +407,38 @@ def _aggregate_placement(scenario: Scenario, rows: list[dict]) -> dict:
                     "mean_deg": _mean(angles),
                 })
 
-    per_trial = []
-    for row in rows:
-        if "error" in row:
-            per_trial.append({"trial": row["trial"], "error": row["error"]})
-            continue
-        entry = {
-            "trial": row["trial"],
-            "outcome": row["outcome"],
-            "iterations": row["iterations"],
-            "start_xy": row["start_xy"],
-            "com_offset": row["com_offset"],
-            "final_com": row["final_com"],
-        }
-        if "oneshot_com_error" in row:
-            entry["oneshot_com_error"] = row["oneshot_com_error"]
-        per_trial.append(entry)
-
+    keys = ("trial", "outcome", "iterations", "start_xy", "com_offset", "final_com",
+            "oneshot_com_error")
     return {
         "outcomes": counts,
-        "errors": errors,
+        "errors": _errors(rows),
         "success_rate": successes / scenario.trials,
         "wilson_ci_95": [lo, hi],
         "mean_iterations": _mean(iteration_counts),
         "direction_stats": by_iteration,
-        "per_trial": per_trial,
+        "per_trial": _per_trial(rows, lambda r: {k: r[k] for k in keys if k in r}),
     }
 
 
 def _aggregate_stack(scenario: Scenario, rows: list[dict]) -> dict:
     successes = sum(1 for r in rows if r.get("success"))
-    errors = sum(1 for r in rows if "error" in r)
     lo, hi = wilson_interval(successes, scenario.trials)
-    per_trial = []
-    for row in rows:
-        if "error" in row:
-            per_trial.append({"trial": row["trial"], "error": row["error"]})
-            continue
-        per_trial.append({
-            "trial": row["trial"],
-            "placed": row["placed"],
-            "success": row["success"],
-            "objects": [
-                {k: o[k] for k in ("object", "outcome", "iterations", "final_com")}
-                for o in row["objects"]
-            ],
-        })
     placed = [r["placed"] for r in rows if "placed" in r]
     return {
-        "errors": errors,
+        "errors": _errors(rows),
         "success_rate": successes / scenario.trials,
         "wilson_ci_95": [lo, hi],
         "min_placed": min(placed) if placed else 0,
         "mean_placed": _mean(placed),
-        "per_trial": per_trial,
+        "per_trial": _per_trial(rows, lambda r: {
+            "trial": r["trial"],
+            "placed": r["placed"],
+            "success": r["success"],
+            "objects": [
+                {k: o[k] for k in ("object", "outcome", "iterations", "final_com")}
+                for o in r["objects"]
+            ],
+        }),
     }
 
 
@@ -477,47 +460,41 @@ def _aggregate_sweep(scenario: Scenario, rows: list[dict]) -> dict:
         if g["median_deg"] is not None and g["median_deg"] < 60.0:
             crossover = g["magnitude"]
             break
-    errors = sum(1 for r in rows if "error" in r)
     return {
-        "errors": errors,
+        "errors": _errors(rows),
         "by_magnitude": groups,
         "crossover_magnitude_below_60_deg": crossover,
-        "per_trial": [
-            {k: r.get(k) for k in ("trial", "magnitude", "direction_deg",
-                                   "angle_error_deg", "press_force", "degenerate")}
-            if "error" not in r else {"trial": r["trial"], "error": r["error"]}
-            for r in rows
-        ],
+        "per_trial": _per_trial(rows, lambda r: {k: r.get(k) for k in _SWEEP_COLUMNS}),
     }
 
 
 def _aggregate_press(scenario: Scenario, rows: list[dict]) -> dict:
     valid = [r["angle_error_deg"] for r in rows
              if r.get("angle_error_deg") is not None]
-    degenerate = sum(1 for r in rows if r.get("degenerate"))
-    errors = sum(1 for r in rows if "error" in r)
     return {
-        "errors": errors,
-        "degenerate": degenerate,
+        "errors": _errors(rows),
+        "degenerate": sum(1 for r in rows if r.get("degenerate")),
         "n_valid": len(valid),
         "max_angle_error_deg": max(valid) if valid else None,
         "median_angle_error_deg": _median(valid),
-        "per_trial": [
-            {k: r.get(k) for k in ("trial", "torque", "direction_deg", "press_force",
-                                   "angle_error_deg", "degenerate")}
-            if "error" not in r else {"trial": r["trial"], "error": r["error"]}
-            for r in rows
-        ],
+        "per_trial": _per_trial(rows, lambda r: {k: r.get(k) for k in _PRESS_COLUMNS}),
     }
 
 
-_AGGREGATORS = {
-    "zero_offset": _aggregate_placement,
-    "offset_recovery": _aggregate_placement,
-    "ramp": _aggregate_placement,
-    "multi_stack": _aggregate_stack,
-    "noise_sweep": _aggregate_sweep,
-    "finger_press": _aggregate_press,
+class _Family(NamedTuple):
+    run: Callable[[Scenario, int], dict]
+    aggregate: Callable[[Scenario, list], dict]
+    table: tuple[str, dict] | None  # CSV name and columns; None writes traces
+
+
+_PLACEMENT = _Family(_placement_trial, _aggregate_placement, None)
+_FAMILIES = {
+    "zero_offset": _PLACEMENT,
+    "offset_recovery": _PLACEMENT,
+    "ramp": _PLACEMENT,
+    "multi_stack": _Family(_stack_trial, _aggregate_stack, None),
+    "finger_press": _Family(_press_trial, _aggregate_press, ("press.csv", _PRESS_COLUMNS)),
+    "noise_sweep": _Family(_sweep_trial, _aggregate_sweep, ("sweep.csv", _SWEEP_COLUMNS)),
 }
 
 
@@ -733,7 +710,8 @@ def run_scenario(source, out_dir=None, seed=None, jobs: int = 1) -> dict:
     """
     scenario = _as_scenario(source, seed)
     rows = _run_trials(scenario, jobs)
-    body = _AGGREGATORS[scenario.family](scenario, rows)
+    family = _FAMILIES[scenario.family]
+    body = family.aggregate(scenario, rows)
     checks = _evaluate_expect(scenario, body)
     report = {
         "report_version": REPORT_VERSION,
@@ -749,46 +727,33 @@ def run_scenario(source, out_dir=None, seed=None, jobs: int = 1) -> dict:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        artifacts = {}
-        if scenario.family in PLACEMENT_FAMILIES or scenario.family == "multi_stack":
-            artifacts["traces"] = [write_trace(scenario, row, out) for row in rows]
-        elif scenario.family == "noise_sweep":
-            artifacts["table"] = _write_table(
-                out, "sweep.csv",
-                ["trial", "magnitude_m", "direction_deg", "angle_error_deg",
-                 "press_force_N", "degenerate"],
-                [(r.get("trial"), r.get("magnitude"), r.get("direction_deg"),
-                  r.get("angle_error_deg"), r.get("press_force"), r.get("degenerate"))
-                 for r in rows],
-            )
+        if family.table is None:
+            artifacts = {"traces": [write_trace(scenario, row, out) for row in rows]}
         else:
-            artifacts["table"] = _write_table(
-                out, "press.csv",
-                ["trial", "torque_Nm", "direction_deg", "press_force_N",
-                 "angle_error_deg", "degenerate"],
-                [(r.get("trial"), r.get("torque"), r.get("direction_deg"),
-                  r.get("press_force"), r.get("angle_error_deg"), r.get("degenerate"))
-                 for r in rows],
-            )
+            name, columns = family.table
+            artifacts = {"table": _write_table(
+                out, name, list(columns.values()),
+                [[r.get(k) for k in columns] for r in rows],
+            )}
         report["artifacts"] = artifacts
         report_text = yaml.safe_dump(report, sort_keys=False)
         (out / "report.yaml").write_text(report_text, encoding="utf-8")
     return report
 
 
-def sweep_offsets(source, out_dir=None, seed=None, jobs: int = 1) -> dict:
-    """Offset-grid sweep: first-press shift proposals against known geometry."""
+def _run_family(family: str, command: str, source, out_dir, seed, jobs: int) -> dict:
     scenario = _as_scenario(source, seed)
-    if scenario.family != "noise_sweep":
-        raise ScenarioFamilyError("sweep requires a noise_sweep scenario, got "
+    if scenario.family != family:
+        raise ScenarioFamilyError(f"{command} requires a {family} scenario, got "
                                   f"{scenario.family}")
     return run_scenario(scenario, out_dir=out_dir, jobs=jobs)
+
+
+def sweep_offsets(source, out_dir=None, seed=None, jobs: int = 1) -> dict:
+    """Offset-grid sweep: first-press shift proposals against known geometry."""
+    return _run_family("noise_sweep", "sweep", source, out_dir, seed, jobs)
 
 
 def finger_press_check(source, out_dir=None, seed=None, jobs: int = 1) -> dict:
     """Synthetic wrench injections with known directions, estimator readback."""
-    scenario = _as_scenario(source, seed)
-    if scenario.family != "finger_press":
-        raise ScenarioFamilyError("press-check requires a finger_press scenario, got "
-                                  f"{scenario.family}")
-    return run_scenario(scenario, out_dir=out_dir, jobs=jobs)
+    return _run_family("finger_press", "press-check", source, out_dir, seed, jobs)

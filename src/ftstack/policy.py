@@ -162,7 +162,7 @@ def settle_reading_at(world: World, sensor: ForceTorqueSensor, window: ReadingWi
                       tip_pose, contact: ContactResult | None) -> Wrench:
     """Settled, averaged sensor reading at a held pose, wrist frame."""
     true_w = world.true_wrist_wrench(tip_pose, contact)
-    return sensor.settle_and_average(lambda: true_w, window)
+    return sensor.settle_and_average(true_w, window)
 
 
 def calibrate_for_held(world: World, sensor: ForceTorqueSensor, config: PolicyConfig,

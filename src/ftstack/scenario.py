@@ -8,12 +8,12 @@ the validated sections into live world, object, sensor, and policy values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
 
-from .policy import PolicyConfig
+from .policy import PlacementOutcome, PolicyConfig
 from .sensor import ForceTorqueSensor, ReadingWindow, SensorConfig
 from .surfaces import FlatPlane, HeightField, Puck, RampPatch, SphericalCap
 from .world import (
@@ -26,16 +26,6 @@ from .world import (
 )
 
 SCHEMA_VERSION = 1
-
-FAMILIES = (
-    "zero_offset",
-    "offset_recovery",
-    "ramp",
-    "multi_stack",
-    "finger_press",
-    "noise_sweep",
-)
-PLACEMENT_FAMILIES = ("zero_offset", "offset_recovery", "ramp")
 
 _SURFACE_KINDS = ("flat", "puck", "ramp", "spherical_cap", "height_field")
 _EXPECT_KEYS = (
@@ -52,7 +42,6 @@ _EXPECT_KEYS = (
     "at_or_below_offset",
     "monotone_slack_deg",
 )
-_OUTCOME_NAMES = ("released_stable", "released_toppled", "max_iterations", "no_contact")
 
 
 class ScenarioError(ValueError):
@@ -185,9 +174,20 @@ def _parse_surface(data, path: str) -> dict:
     }
 
 
-_SIM_PARAM_KEYS = ("spring_k", "descent_step", "contact_pitch", "raster_pitch",
-                   "patch_tie_tol", "stability_margin", "gravity", "wrist_lift",
-                   "gripper_mass", "descent_floor")
+# SimParams field -> (lower bound, bound excluded); a None bound only asks for
+# a finite value. Pitches, steps and stiffness divide or scale every trial.
+_SIM_PARAM_BOUNDS = {
+    "spring_k": (0.0, True),
+    "descent_step": (0.0, True),
+    "contact_pitch": (0.0, True),
+    "raster_pitch": (0.0, True),
+    "patch_tie_tol": (0.0, False),
+    "stability_margin": (0.0, False),
+    "gravity": (0.0, True),
+    "wrist_lift": (0.0, False),
+    "gripper_mass": (0.0, False),
+    "descent_floor": (None, False),
+}
 
 
 def _parse_world(data, path: str) -> dict:
@@ -198,8 +198,11 @@ def _parse_world(data, path: str) -> dict:
         _fail(f"{path}.surfaces", "expected a non-empty list")
     parsed = [_parse_surface(s, f"{path}.surfaces[{i}]") for i, s in enumerate(surfaces)]
     params = _mapping(d.get("params", {}), f"{path}.params")
-    _check_keys(params, f"{path}.params", (), _SIM_PARAM_KEYS)
-    out_params = {k: _num(params[k], f"{path}.params.{k}") for k in params}
+    _check_keys(params, f"{path}.params", (), tuple(_SIM_PARAM_BOUNDS))
+    out_params = {}
+    for k in params:
+        lo, lo_open = _SIM_PARAM_BOUNDS[k]
+        out_params[k] = _num(params[k], f"{path}.params.{k}", lo=lo, lo_open=lo_open)
     return {
         "x_range": _span(d.get("x_range", [-0.3, 0.3]), f"{path}.x_range"),
         "y_range": _span(d.get("y_range", [-0.3, 0.3]), f"{path}.y_range"),
@@ -222,16 +225,7 @@ def _parse_object(data, path: str) -> dict:
         _fail(path, "give com_offset or com_offset_sampler, not both")
     sampler = None
     if "com_offset_sampler" in d:
-        s = _mapping(d["com_offset_sampler"], f"{path}.com_offset_sampler")
-        _check_keys(s, f"{path}.com_offset_sampler", ("radius",), ("axis_aligned",))
-        radius = _vec(s["radius"], 2, f"{path}.com_offset_sampler.radius")
-        if not 0.0 <= radius[0] <= radius[1]:
-            _fail(f"{path}.com_offset_sampler.radius", f"need 0 <= lo <= hi, got {radius}")
-        sampler = {
-            "radius": radius,
-            "axis_aligned": _bool(s.get("axis_aligned", False),
-                                  f"{path}.com_offset_sampler.axis_aligned"),
-        }
+        sampler = _parse_sampler(d["com_offset_sampler"], f"{path}.com_offset_sampler")
     bottom = _mapping(d.get("bottom", {"kind": "flat"}), f"{path}.bottom")
     _check_keys(bottom, f"{path}.bottom", ("kind",), ("curvature_radius",))
     bkind = _choice(bottom["kind"], ("flat", "dome"), f"{path}.bottom.kind")
@@ -267,55 +261,60 @@ def _parse_object(data, path: str) -> dict:
     return out
 
 
-def _parse_sensor(data, path: str) -> dict:
+def _defaults(config, skip=()) -> dict:
+    return {f.name: getattr(config, f.name) for f in fields(config) if f.name not in skip}
+
+
+# the sensor's RNG comes from the trial seed, never from the file
+_SENSOR_DEFAULTS = _defaults(SensorConfig(), skip=("seed",))
+_WINDOW_DEFAULTS = _defaults(ReadingWindow())
+_POLICY_DEFAULTS = _defaults(PolicyConfig())
+
+
+def _with_defaults(data, path: str, defaults: dict) -> dict:
     d = _mapping(data, path)
-    _check_keys(d, path, (), ("sample_rate", "noise_force", "noise_torque",
-                              "bias_force", "bias_torque", "drift_force", "drift_torque"))
+    _check_keys(d, path, (), tuple(defaults))
+    return {**defaults, **d}
+
+
+def _parse_sensor(data, path: str) -> dict:
+    d = _with_defaults(data, path, _SENSOR_DEFAULTS)
     return {
-        "sample_rate": _num(d.get("sample_rate", 25.0), f"{path}.sample_rate",
-                            lo=0.0, lo_open=True),
-        "noise_force": _num(d.get("noise_force", 0.25), f"{path}.noise_force", lo=0.0),
-        "noise_torque": _num(d.get("noise_torque", 0.01), f"{path}.noise_torque", lo=0.0),
-        "bias_force": _vec(d.get("bias_force", [0.0, 0.0, 0.0]), 3, f"{path}.bias_force"),
-        "bias_torque": _vec(d.get("bias_torque", [0.0, 0.0, 0.0]), 3, f"{path}.bias_torque"),
-        "drift_force": _vec(d.get("drift_force", [0.0, 0.0, 0.0]), 3, f"{path}.drift_force"),
-        "drift_torque": _vec(d.get("drift_torque", [0.0, 0.0, 0.0]), 3,
-                             f"{path}.drift_torque"),
+        "sample_rate": _num(d["sample_rate"], f"{path}.sample_rate", lo=0.0, lo_open=True),
+        "noise_force": _num(d["noise_force"], f"{path}.noise_force", lo=0.0),
+        "noise_torque": _num(d["noise_torque"], f"{path}.noise_torque", lo=0.0),
+        "bias_force": _vec(d["bias_force"], 3, f"{path}.bias_force"),
+        "bias_torque": _vec(d["bias_torque"], 3, f"{path}.bias_torque"),
+        "drift_force": _vec(d["drift_force"], 3, f"{path}.drift_force"),
+        "drift_torque": _vec(d["drift_torque"], 3, f"{path}.drift_torque"),
     }
 
 
 def _parse_window(data, path: str) -> dict:
-    d = _mapping(data, path)
-    _check_keys(d, path, (), ("settle_time", "average_time"))
+    d = _with_defaults(data, path, _WINDOW_DEFAULTS)
     return {
-        "settle_time": _num(d.get("settle_time", 0.1), f"{path}.settle_time", lo=0.0),
-        "average_time": _num(d.get("average_time", 0.5), f"{path}.average_time",
+        "settle_time": _num(d["settle_time"], f"{path}.settle_time", lo=0.0),
+        "average_time": _num(d["average_time"], f"{path}.average_time",
                              lo=0.0, lo_open=True),
     }
 
 
 def _parse_policy(data, path: str) -> dict:
-    d = _mapping(data, path)
-    _check_keys(d, path, (), ("resistance_threshold", "torque_release_threshold",
-                              "step_gain", "flat_dir_floor", "raise_height",
-                              "force_floor", "max_iterations", "workspace_limit",
-                              "repress_scale"))
+    d = _with_defaults(data, path, _POLICY_DEFAULTS)
     return {
-        "resistance_threshold": _num(d.get("resistance_threshold", 10.0),
+        "resistance_threshold": _num(d["resistance_threshold"],
                                      f"{path}.resistance_threshold", lo=0.0, lo_open=True),
-        "torque_release_threshold": _num(d.get("torque_release_threshold", 0.05),
+        "torque_release_threshold": _num(d["torque_release_threshold"],
                                          f"{path}.torque_release_threshold",
                                          lo=0.0, lo_open=True),
-        "step_gain": _num(d.get("step_gain", 0.5), f"{path}.step_gain", lo=0.0),
-        "flat_dir_floor": _num(d.get("flat_dir_floor", 0.02), f"{path}.flat_dir_floor",
-                               lo=0.0),
-        "raise_height": _num(d.get("raise_height", 0.02), f"{path}.raise_height", lo=0.0),
-        "force_floor": _num(d.get("force_floor", 1.0), f"{path}.force_floor",
-                            lo=0.0, lo_open=True),
-        "max_iterations": _int(d.get("max_iterations", 10), f"{path}.max_iterations", lo=1),
-        "workspace_limit": _num(d.get("workspace_limit", 0.2), f"{path}.workspace_limit",
+        "step_gain": _num(d["step_gain"], f"{path}.step_gain", lo=0.0),
+        "flat_dir_floor": _num(d["flat_dir_floor"], f"{path}.flat_dir_floor", lo=0.0),
+        "raise_height": _num(d["raise_height"], f"{path}.raise_height", lo=0.0),
+        "force_floor": _num(d["force_floor"], f"{path}.force_floor", lo=0.0, lo_open=True),
+        "max_iterations": _int(d["max_iterations"], f"{path}.max_iterations", lo=1),
+        "workspace_limit": _num(d["workspace_limit"], f"{path}.workspace_limit",
                                 lo=0.0, lo_open=True),
-        "repress_scale": _num(d.get("repress_scale", 1.5), f"{path}.repress_scale",
+        "repress_scale": _num(d["repress_scale"], f"{path}.repress_scale",
                               lo=1.0, lo_open=True),
     }
 
@@ -429,7 +428,8 @@ def _parse_expect(data, path: str) -> dict:
         out["max_iterations_per_trial"] = _int(d["max_iterations_per_trial"],
                                                f"{path}.max_iterations_per_trial", lo=1)
     if "all_outcome" in d:
-        out["all_outcome"] = _choice(d["all_outcome"], _OUTCOME_NAMES,
+        out["all_outcome"] = _choice(d["all_outcome"],
+                                     tuple(o.value for o in PlacementOutcome),
                                      f"{path}.all_outcome")
     if "min_placed" in d:
         out["min_placed"] = _int(d["min_placed"], f"{path}.min_placed", lo=0)
@@ -439,6 +439,35 @@ def _parse_expect(data, path: str) -> dict:
         if key in d:
             out[key] = _num(d[key], f"{path}.{key}", lo=0.0)
     return out
+
+
+_SECTION_PARSERS = {
+    "world": _parse_world,
+    "object": _parse_object,
+    "sensor": _parse_sensor,
+    "window": _parse_window,
+    "policy": _parse_policy,
+    "placement": _parse_placement,
+    "stack": _parse_stack,
+    "sweep": _parse_sweep,
+    "press": _parse_press,
+    "expect": _parse_expect,
+}
+
+# family -> {section it reads: required}. Every family also reads the common
+# sections; any other section is rejected. A section left out or given as
+# null is absent, and an absent optional section parses from {}.
+_COMMON_SECTIONS = dict.fromkeys(("sensor", "window", "policy", "expect"), False)
+_PLACEMENT_SECTIONS = {"world": True, "object": True, "placement": False}
+_FAMILY_SECTIONS = {
+    "zero_offset": _PLACEMENT_SECTIONS,
+    "offset_recovery": _PLACEMENT_SECTIONS,
+    "ramp": _PLACEMENT_SECTIONS,
+    "multi_stack": {"world": True, "object": True, "stack": True},
+    "finger_press": {"press": True},
+    "noise_sweep": {"world": True, "object": True, "sweep": True},
+}
+FAMILIES = tuple(_FAMILY_SECTIONS)
 
 
 @dataclass(frozen=True)
@@ -466,8 +495,7 @@ class Scenario:
         _check_keys(
             d, "scenario",
             ("schema_version", "name", "family", "seed", "trials"),
-            ("world", "object", "sensor", "window", "policy", "placement",
-             "stack", "sweep", "press", "expect"),
+            tuple(_SECTION_PARSERS),
         )
         version = _int(d["schema_version"], "scenario.schema_version")
         if version != SCHEMA_VERSION:
@@ -480,64 +508,33 @@ class Scenario:
         seed = _int(d["seed"], "scenario.seed", lo=0)
         trials = _int(d["trials"], "scenario.trials", lo=1)
 
-        world = d.get("world")
-        obj = d.get("object")
-        placement = d.get("placement")
-        stack = d.get("stack")
-        sweep = d.get("sweep")
-        press = d.get("press")
+        reads = {**_FAMILY_SECTIONS[family], **_COMMON_SECTIONS}
+        for key in _SECTION_PARSERS:
+            if d.get(key) is not None and key not in reads:
+                _fail(f"scenario.{key}", f"not used by family {family}")
+        sections = {}
+        for key, required in reads.items():
+            value = d.get(key)
+            if value is None:
+                if required:
+                    _fail(f"scenario.{key}", f"required for family {family}")
+                value = {}
+            sections[key] = _SECTION_PARSERS[key](value, f"scenario.{key}")
 
-        if family in PLACEMENT_FAMILIES:
-            if world is None:
-                _fail("scenario.world", f"required for family {family}")
-            if obj is None:
-                _fail("scenario.object", f"required for family {family}")
-            placement = _parse_placement(placement if placement is not None else {},
-                                         "scenario.placement")
-        elif family == "multi_stack":
-            if world is None:
-                _fail("scenario.world", "required for family multi_stack")
-            if obj is None:
-                _fail("scenario.object", "required for family multi_stack")
-            if stack is None:
-                _fail("scenario.stack", "required for family multi_stack")
-            stack = _parse_stack(stack, "scenario.stack")
-        elif family == "noise_sweep":
-            if world is None:
-                _fail("scenario.world", "required for family noise_sweep")
-            if obj is None:
-                _fail("scenario.object", "required for family noise_sweep")
-            if sweep is None:
-                _fail("scenario.sweep", "required for family noise_sweep")
-            sweep = _parse_sweep(sweep, "scenario.sweep")
+        sweep = sections.get("sweep")
+        if sweep is not None:
             expected = len(sweep["magnitudes"]) * sweep["directions"] * sweep["repeats"]
             if trials != expected:
                 _fail("scenario.trials",
                       f"must equal magnitudes x directions x repeats = {expected}")
-        else:  # finger_press
-            if press is None:
-                _fail("scenario.press", "required for family finger_press")
-            press = _parse_press(press, "scenario.press")
-            if isinstance(press["torques"], list) and trials != len(press["torques"]):
+        press = sections.get("press")
+        if press is not None and isinstance(press["torques"], list):
+            if trials != len(press["torques"]):
                 _fail("scenario.trials",
                       f"must equal the torque list length {len(press['torques'])}")
 
-        return cls(
-            name=name,
-            family=family,
-            seed=seed,
-            trials=trials,
-            world=None if world is None else _parse_world(world, "scenario.world"),
-            obj=None if obj is None else _parse_object(obj, "scenario.object"),
-            sensor=_parse_sensor(d.get("sensor", {}), "scenario.sensor"),
-            window=_parse_window(d.get("window", {}), "scenario.window"),
-            policy=_parse_policy(d.get("policy", {}), "scenario.policy"),
-            placement=placement if family in PLACEMENT_FAMILIES else None,
-            stack=stack if family == "multi_stack" else None,
-            sweep=sweep if family == "noise_sweep" else None,
-            press=press if family == "finger_press" else None,
-            expect=_parse_expect(d.get("expect", {}), "scenario.expect"),
-        )
+        return cls(name=name, family=family, seed=seed, trials=trials,
+                   obj=sections.pop("object", None), **sections)
 
     def to_dict(self) -> dict:
         # emit the minimal canonical form: optional keys that parsed to None

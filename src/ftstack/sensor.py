@@ -78,12 +78,9 @@ class ForceTorqueSensor:
             frame=true_wrench.frame,
         )
 
-    def settle_and_average(self, source, window: ReadingWindow) -> Wrench:
-        """Discard the settle span, then average the window into one reading.
-
-        ``source`` is a zero-argument callable giving the instantaneous true
-        wrench; quasi-static callers pass a constant.
-        """
+    def settle_and_average(self, true_wrench: Wrench, window: ReadingWindow) -> Wrench:
+        """Discard the settle span, then average the window into one reading
+        of a constant (quasi-static) true wrench."""
         n_settle = int(np.floor(window.settle_time * self.config.sample_rate))
         n_avg = int(np.floor(window.average_time * self.config.sample_rate))
         if n_avg < 1:
@@ -92,12 +89,12 @@ class ForceTorqueSensor:
                 f"{self.config.sample_rate} Hz"
             )
         for _ in range(n_settle):
-            self.sample(source())
+            self.sample(true_wrench)
         acc_tau = np.zeros(3)
         acc_f = np.zeros(3)
         frame = None
         for _ in range(n_avg):
-            reading = self.sample(source())
+            reading = self.sample(true_wrench)
             acc_tau += reading.torque
             acc_f += reading.force
             frame = reading.frame

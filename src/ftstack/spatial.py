@@ -50,13 +50,6 @@ class FrameMismatch(ValueError):
     """Frame labels on transforms or wrenches do not line up."""
 
 
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"vector components must be finite, got {v}")
-    return v
-
-
 def _as_vec3(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (3,):
@@ -95,15 +88,6 @@ class Wrench:
     def __post_init__(self):
         object.__setattr__(self, "torque", _frozen_copy(_as_vec3(self.torque, "torque")))
         object.__setattr__(self, "force", _frozen_copy(_as_vec3(self.force, "force")))
-
-    @staticmethod
-    def zero(frame: FrameId | None = None) -> "Wrench":
-        return Wrench(np.zeros(3), np.zeros(3), frame)
-
-    @staticmethod
-    def from_vector(w, frame: FrameId | None = None) -> "Wrench":
-        arr = np.asarray(w, dtype=float).reshape(6)
-        return Wrench(arr[:3], arr[3:], frame)
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.torque, self.force])
@@ -166,35 +150,6 @@ class RigidTransform:
     @staticmethod
     def from_translation(t, parent=None, child=None) -> "RigidTransform":
         return RigidTransform(np.eye(3), _as_vec3(t, "translation"), parent, child)
-
-    @staticmethod
-    def from_axis_angle(axis, angle: float, translation=(0.0, 0.0, 0.0),
-                        parent=None, child=None) -> "RigidTransform":
-        a = _as_vec3(axis, "axis")
-        norm = np.linalg.norm(a)
-        if norm < 1e-12:
-            raise ValueError("axis must be nonzero")
-        a = a / norm
-        k = skew(a)
-        rot = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-        return RigidTransform(rot, _as_vec3(translation, "translation"), parent, child)
-
-    @staticmethod
-    def from_quaternion(q, translation=(0.0, 0.0, 0.0), parent=None, child=None) -> "RigidTransform":
-        """Unit quaternion in (w, x, y, z) order; small norm drift is renormalized."""
-        arr = np.asarray(q, dtype=float).reshape(4)
-        norm = np.linalg.norm(arr)
-        if norm < 1e-12:
-            raise ValueError("quaternion must be nonzero")
-        w, x, y, z = arr / norm
-        rot = np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-        return RigidTransform(rot, _as_vec3(translation, "translation"), parent, child)
 
     def point_to_parent(self, p) -> np.ndarray:
         return self.rotation @ _as_vec3(p, "p") + self.translation

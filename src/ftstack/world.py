@@ -44,11 +44,6 @@ class Footprint:
     def bounding_radius(self) -> float:
         return self.size if self.kind == "disk" else self.size * np.sqrt(2.0)
 
-    def contains(self, dx, dy):
-        if self.kind == "disk":
-            return dx * dx + dy * dy <= self.size * self.size
-        return (np.abs(dx) <= self.size) & (np.abs(dy) <= self.size)
-
     def sample_offsets(self, pitch: float) -> np.ndarray:
         return _footprint_offsets(self.kind, self.size, pitch)
 
@@ -186,6 +181,7 @@ class ContactResult:
     penetration: float                 # m at the deepest sample
     normal_force_magnitude: float      # N
     contact_patch: np.ndarray          # (P, 3) coplanar tie points, world
+    touch_height: float                # m, bottom-face height at first touch
 
     @property
     def force(self) -> np.ndarray:
@@ -263,6 +259,7 @@ class World:
             penetration=float(penetration),
             normal_force_magnitude=float(force_magnitude),
             contact_patch=patch,
+            touch_height=float(z_touch),
         )
 
     def descend_until_contact(self, xy, resistance_threshold: float, start_tip_z: float,
@@ -346,12 +343,6 @@ class World:
 
     # -- wrench synthesis ---------------------------------------------------
 
-    def weight_force(self) -> np.ndarray:
-        """Gravity force on the distal load (object plus gripper), base frame."""
-        obj = self._require_held()
-        w = (obj.mass + self.params.gripper_mass) * self.params.gravity
-        return np.array([0.0, 0.0, -w])
-
     def true_wrist_wrench(self, tip_pose, contact: ContactResult | None) -> Wrench:
         """Load-on-wrist wrench about the sensor origin, wrist frame.
 
@@ -417,7 +408,11 @@ class World:
         return _distance_to_point_set(com, pts) <= margin
 
     def release(self, tip_pose, contact: ContactResult) -> ReleaseOutcome:
-        """Open the gripper at the pose; settle or topple, then update terrain."""
+        """Open the gripper at the pose; settle or topple, then update terrain.
+
+        ``contact`` is the descent's contact at this pose's xy; a settled
+        object rests at its touch height.
+        """
         obj = self._require_held()
         tip = np.asarray(tip_pose, dtype=float)
         com = tip + obj.com_offset
@@ -426,9 +421,8 @@ class World:
             self.held = None
             return ReleaseOutcome(settled=False)
 
-        touch, _, _ = self._touch_profile(tip[:2])
         self.held = None
-        rest_bottom = float(np.max(touch[np.isfinite(touch)]))
+        rest_bottom = contact.touch_height
         top_base = rest_bottom + obj.thickness
         center = com[:2]
 
@@ -454,6 +448,7 @@ def _with_force(contact: ContactResult, force: float, penetration: float) -> Con
         penetration=penetration,
         normal_force_magnitude=force,
         contact_patch=contact.contact_patch,
+        touch_height=contact.touch_height,
     )
 
 

@@ -236,6 +236,7 @@ def test_criterion_10_stability_oracle_equivalence():
             penetration=1e-4,
             normal_force_magnitude=10.0,
             contact_patch=patch,
+            touch_height=0.0,
         )
         com = center + rng.uniform(-(size + 0.01), size + 0.01, 2)
 

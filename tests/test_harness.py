@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from ftstack import harness, scenario
 from ftstack.cli import main
 from ftstack.harness import (
     ScenarioFamilyError,
@@ -175,6 +176,9 @@ class TestReports:
             sweep_offsets(tiny_placement())
         with pytest.raises(ScenarioFamilyError):
             finger_press_check(tiny_placement())
+
+    def test_every_scenario_family_has_a_runner(self):
+        assert set(harness._FAMILIES) == set(scenario.FAMILIES)
 
 
 class TestSweep:

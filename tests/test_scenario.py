@@ -1,6 +1,7 @@
 """Scenario schema: round-trips, field-path errors, and builders."""
 
 import copy
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from ftstack.scenario import (
     FAMILIES,
     Scenario,
     ScenarioError,
+    _SIM_PARAM_BOUNDS,
     build_object,
     build_policy,
     build_sensor,
@@ -20,7 +22,7 @@ from ftstack.scenario import (
     save_scenario,
 )
 from ftstack.spatial import Wrench
-from ftstack.world import World
+from ftstack.world import SimParams, World
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -140,6 +142,54 @@ class TestValidation:
         d["trials"] = 4
         with pytest.raises(ScenarioError, match="torque list length 3"):
             Scenario.from_dict(d)
+
+    def test_sections_the_family_does_not_read_are_rejected(self):
+        d = minimal_placement()
+        d["stack"] = "garbage"
+        d["sweep"] = [1, 2]
+        with pytest.raises(ScenarioError,
+                           match=r"scenario\.stack: not used by family zero_offset"):
+            Scenario.from_dict(d)
+        d = minimal_press()
+        d["world"] = {"surfaces": [{"kind": "flat"}]}
+        with pytest.raises(ScenarioError,
+                           match=r"scenario\.world: not used by family finger_press"):
+            Scenario.from_dict(d)
+
+    def test_null_sections_count_as_absent(self):
+        d = minimal_placement()
+        d["stack"] = None
+        d["placement"] = None
+        d["sensor"] = None
+        scenario = Scenario.from_dict(d)
+        default = Scenario.from_dict(minimal_placement())
+        assert scenario.stack is None
+        assert scenario.placement == default.placement
+        assert scenario.sensor == default.sensor
+        d["world"] = None
+        with pytest.raises(ScenarioError, match=r"scenario\.world: required"):
+            Scenario.from_dict(d)
+
+    @pytest.mark.parametrize("key, value", [
+        ("raster_pitch", 0.0),
+        ("contact_pitch", 0.0),
+        ("descent_step", -5e-4),
+        ("spring_k", 0.0),
+        ("gravity", -9.81),
+        ("patch_tie_tol", -1e-6),
+        ("stability_margin", -1e-3),
+        ("gripper_mass", -0.1),
+        ("wrist_lift", -0.15),
+        ("descent_floor", float("-inf")),
+    ])
+    def test_world_params_out_of_bounds(self, key, value):
+        d = minimal_placement()
+        d["world"]["params"] = {key: value}
+        with pytest.raises(ScenarioError, match=rf"scenario\.world\.params\.{key}: must be"):
+            Scenario.from_dict(d)
+
+    def test_world_params_bounds_cover_sim_params(self):
+        assert set(_SIM_PARAM_BOUNDS) == {f.name for f in dataclasses.fields(SimParams)}
 
     def test_com_offset_and_sampler_are_exclusive(self):
         d = minimal_placement()

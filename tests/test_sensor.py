@@ -71,7 +71,7 @@ class TestWindows:
     def test_default_window_consumes_two_plus_twelve_samples(self):
         # 0.1 s settle -> floor(2.5) = 2 discarded; 0.5 s -> floor(12.5) = 12
         s = ForceTorqueSensor(SensorConfig(seed=5))
-        s.settle_and_average(lambda: HOVER, ReadingWindow())
+        s.settle_and_average(HOVER, ReadingWindow())
         assert s._samples == 14
 
     def test_averaging_shrinks_noise(self):
@@ -79,7 +79,7 @@ class TestWindows:
         s = ForceTorqueSensor(cfg)
         window = ReadingWindow(settle_time=0.0, average_time=0.48)  # 12 samples
         means = np.array(
-            [s.settle_and_average(lambda: HOVER, window).force for _ in range(400)]
+            [s.settle_and_average(HOVER, window).force for _ in range(400)]
         )
         std = means.std(axis=0)
         np.testing.assert_allclose(std, 0.25 / np.sqrt(12), rtol=0.12)
@@ -87,7 +87,7 @@ class TestWindows:
     def test_empty_window_rejected(self):
         s = ForceTorqueSensor(SensorConfig())
         with pytest.raises(InsufficientSamples):
-            s.settle_and_average(lambda: HOVER, ReadingWindow(average_time=0.01))
+            s.settle_and_average(HOVER, ReadingWindow(average_time=0.01))
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -132,8 +132,8 @@ class TestCalibration:
 
         def differenced(cfg):
             s = ForceTorqueSensor(cfg)
-            hover = s.settle_and_average(lambda: HOVER, window)
-            read = s.settle_and_average(lambda: press, window)
+            hover = s.settle_and_average(HOVER, window)
+            read = s.settle_and_average(press, window)
             return read.torque - hover.torque, read.force - hover.force
 
         tau_b, f_b = differenced(biased)

@@ -255,6 +255,7 @@ class TestWristWrench:
             penetration=1e-4,
             normal_force_magnitude=10.0,
             contact_patch=c[None, :],
+            touch_height=float(c[2]),
         )
         w = world.true_wrist_wrench(tip, contact)
 
