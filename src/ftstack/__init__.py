@@ -20,6 +20,7 @@ from .harness import (
     wilson_interval,
 )
 from .policy import (
+    Calibration,
     IterationRecord,
     PlacementOutcome,
     PlacementTrace,
@@ -48,14 +49,10 @@ from .scenario import (
     save_scenario,
 )
 from .sensor import (
-    CalibrationIncomplete,
-    CalibrationState,
     ForceTorqueSensor,
     InsufficientSamples,
     ReadingWindow,
     SensorConfig,
-    calibrate_flat_reference,
-    calibrate_hover,
 )
 from .spatial import (
     FrameId,
@@ -83,7 +80,6 @@ from .world import (
     Footprint,
     HeldObject,
     NoContactWithinRange,
-    PlacedObject,
     ReleaseOutcome,
     SimParams,
     TopProfile,

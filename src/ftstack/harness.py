@@ -161,7 +161,7 @@ def _placement_trial(scenario: Scenario, trial: int) -> dict:
     if stable_xy is not None:
         angles = []
         for rec in trace.iterations:
-            if rec.released or rec.degenerate or rec.est_offset is None:
+            if rec.released or rec.degenerate:
                 angles.append(None)
                 continue
             to_stable = np.asarray(stable_xy) - rec.press_xy

@@ -21,13 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .estimation import ContactEstimate, DegenerateNormalForce, estimate_contact
-from .sensor import (
-    CalibrationState,
-    ForceTorqueSensor,
-    ReadingWindow,
-    calibrate_flat_reference,
-    calibrate_hover,
-)
+from .sensor import ForceTorqueSensor, ReadingWindow
 from .spatial import (
     FrameId,
     RigidTransform,
@@ -72,11 +66,10 @@ class PolicyConfig:
 
 @dataclass(frozen=True, eq=False)
 class PressOutcome:
-    """One settled press: geometry, the converted reading, and the estimate."""
+    """One settled press: geometry, the referenced residual, and the estimate."""
 
     contact: ContactResult
     tip_pose: np.ndarray
-    reading_com: Wrench         # raw averaged reading in the assumed-COM frame
     residual: Wrench            # torque minus hover and flat reference; force raw
     estimate: ContactEstimate | None
     degenerate: bool
@@ -91,15 +84,11 @@ class IterationRecord:
     index: int
     press_xy: np.ndarray
     tip_z: float
-    residual_torque: np.ndarray
     residual_norm: float
     press_force: float
     released: bool
     degenerate: bool
     shift: np.ndarray
-    est_offset: np.ndarray | None = None
-    est_flat_dir: np.ndarray | None = None
-    est_normal: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,11 +96,22 @@ class PlacementTrace:
     outcome: PlacementOutcome
     iterations: tuple[IterationRecord, ...]
     descent_series: tuple[np.ndarray, ...]  # per press, rows (t, |f|, |tau|)
-    released: bool
-    settled: bool
-    final_tip: np.ndarray | None = None
     final_com: np.ndarray | None = None
     top_height: float | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Calibration:
+    """Hover baseline and flat-press reference of the held object.
+
+    Both are settled wrist-frame readings, converted to the assumed-COM frame
+    on use; they carry the same constant sensor bias, which later
+    subtractions cancel. Only ``calibrate_for_held`` builds one, after both
+    phases have run.
+    """
+
+    hover_baseline: Wrench
+    flat_reference: Wrench
 
 
 def com_frame_transform(wrist_lift: float) -> RigidTransform:
@@ -167,48 +167,49 @@ def settle_reading_at(world: World, sensor: ForceTorqueSensor, window: ReadingWi
 
 def calibrate_for_held(world: World, sensor: ForceTorqueSensor, config: PolicyConfig,
                        window: ReadingWindow, calibration_xy, hover_tip_z: float,
-                       ) -> CalibrationState:
+                       ) -> Calibration:
     """Two-phase calibration for the currently held object.
 
     Hover in free space for the gravity baseline, then press on known-flat
-    ground for the bearing-point reference. Readings are stored in the wrist
-    frame and converted on use; both keep the same constant sensor bias,
-    which later subtractions cancel.
+    ground for the bearing-point reference. A hover reading that shows no
+    hanging weight raises ValueError before the flat press starts.
     """
     xy = np.asarray(calibration_xy, dtype=float)
     hover_tip = np.array([xy[0], xy[1], float(hover_tip_z)])
 
-    hover_reading = settle_reading_at(world, sensor, window, hover_tip, None)
-    state = calibrate_hover(CalibrationState(), hover_reading)
+    hover = settle_reading_at(world, sensor, window, hover_tip, None)
+    if hover.force[2] >= 0.0:
+        raise ValueError(
+            f"hover reading shows no hanging weight (fz = {hover.force[2]:.3g} N)"
+        )
 
     contact, tip_z = world.descend_until_contact(
         xy, config.resistance_threshold, float(hover_tip_z)
     )
     press_tip = np.array([xy[0], xy[1], tip_z])
-    flat_reading = settle_reading_at(world, sensor, window, press_tip, contact)
-    return calibrate_flat_reference(state, flat_reading)
+    flat = settle_reading_at(world, sensor, window, press_tip, contact)
+    return Calibration(hover_baseline=hover, flat_reference=flat)
 
 
 def press_and_estimate(world: World, sensor: ForceTorqueSensor,
-                       calibration: CalibrationState, config: PolicyConfig,
+                       calibration: Calibration, config: PolicyConfig,
                        window: ReadingWindow, xy, start_tip_z: float,
                        threshold: float | None = None, on_step=None) -> PressOutcome:
     """Descend at xy, settle a reading, and form the referenced estimate."""
-    calibration.require_complete()
     g_wr = com_frame_transform(world.params.wrist_lift)
     if threshold is None:
         threshold = config.resistance_threshold
     contact, tip_z = world.descend_until_contact(xy, threshold, start_tip_z, on_step=on_step)
     tip = np.array([xy[0], xy[1], tip_z])
-    reading_com = transform_wrench(g_wr, settle_reading_at(world, sensor, window, tip, contact))
+    reading = transform_wrench(g_wr, settle_reading_at(world, sensor, window, tip, contact))
 
     hover_com = transform_wrench(g_wr, calibration.hover_baseline)
     flat_com = transform_wrench(g_wr, calibration.flat_reference)
     tau_ref = flat_com.torque - hover_com.torque
     residual = Wrench(
-        reading_com.torque - hover_com.torque - tau_ref,
-        reading_com.force,
-        frame=reading_com.frame,
+        reading.torque - hover_com.torque - tau_ref,
+        reading.force,
+        frame=reading.frame,
     )
     try:
         estimate = estimate_contact(residual, hover_com.force, force_floor=config.force_floor)
@@ -219,7 +220,6 @@ def press_and_estimate(world: World, sensor: ForceTorqueSensor,
     return PressOutcome(
         contact=contact,
         tip_pose=tip,
-        reading_com=reading_com,
         residual=residual,
         estimate=estimate,
         degenerate=degenerate,
@@ -227,7 +227,7 @@ def press_and_estimate(world: World, sensor: ForceTorqueSensor,
 
 
 def run_placement(world: World, sensor: ForceTorqueSensor,
-                  calibration: CalibrationState, config: PolicyConfig,
+                  calibration: Calibration, config: PolicyConfig,
                   start_xy, start_tip_z: float,
                   window: ReadingWindow | None = None) -> PlacementTrace:
     """Iterate press, compare, shift until release or the iteration budget ends.
@@ -238,7 +238,6 @@ def run_placement(world: World, sensor: ForceTorqueSensor,
     """
     if window is None:
         window = ReadingWindow()
-    calibration.require_complete()
     g_wr = com_frame_transform(world.params.wrist_lift)
     hover = transform_wrench(g_wr, calibration.hover_baseline)
 
@@ -266,8 +265,6 @@ def run_placement(world: World, sensor: ForceTorqueSensor,
                 outcome=PlacementOutcome.NO_CONTACT,
                 iterations=tuple(records),
                 descent_series=tuple(series),
-                released=False,
-                settled=False,
             )
         series.append(_descent_rows(g_wr, hover, samples, times))
 
@@ -293,19 +290,12 @@ def run_placement(world: World, sensor: ForceTorqueSensor,
             index=index,
             press_xy=xy.copy(),
             tip_z=float(press.tip_pose[2]),
-            residual_torque=press.residual.torque.copy(),
             residual_norm=press.residual_norm,
             press_force=(press.estimate.press_magnitude
                          if press.estimate is not None else float("nan")),
             released=released,
             degenerate=press.degenerate,
             shift=shift,
-            est_offset=(press.estimate.tangent_offset.copy()
-                        if press.estimate is not None else None),
-            est_flat_dir=(press.estimate.flat_dir.copy()
-                          if press.estimate is not None else None),
-            est_normal=(press.estimate.normal_dir.copy()
-                        if press.estimate is not None else None),
         ))
 
         if released:
@@ -315,9 +305,6 @@ def run_placement(world: World, sensor: ForceTorqueSensor,
                          else PlacementOutcome.RELEASED_TOPPLED),
                 iterations=tuple(records),
                 descent_series=tuple(series),
-                released=True,
-                settled=outcome.settled,
-                final_tip=press.tip_pose.copy(),
                 final_com=outcome.final_com,
                 top_height=outcome.top_height,
             )
@@ -329,8 +316,6 @@ def run_placement(world: World, sensor: ForceTorqueSensor,
         outcome=PlacementOutcome.MAX_ITERATIONS,
         iterations=tuple(records),
         descent_series=tuple(series),
-        released=False,
-        settled=False,
     )
 
 

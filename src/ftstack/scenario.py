@@ -28,20 +28,26 @@ from .world import (
 SCHEMA_VERSION = 1
 
 _SURFACE_KINDS = ("flat", "puck", "ramp", "spherical_cap", "height_field")
-_EXPECT_KEYS = (
-    "min_success_rate",
-    "max_iterations_per_trial",
-    "all_outcome",
-    "min_placed",
-    "oneshot_tolerance",
-    "min_oneshot_rate",
-    "max_direction_error_deg",
-    "median_below_deg",
-    "at_or_above_offset",
-    "median_above_deg",
-    "at_or_below_offset",
-    "monotone_slack_deg",
-)
+
+# family -> the expect keys its report can judge
+_PLACEMENT_EXPECT = ("min_success_rate", "max_iterations_per_trial", "all_outcome",
+                     "oneshot_tolerance", "min_oneshot_rate")
+_FAMILY_EXPECT = {
+    "zero_offset": _PLACEMENT_EXPECT,
+    "offset_recovery": _PLACEMENT_EXPECT,
+    "ramp": _PLACEMENT_EXPECT,
+    "multi_stack": ("min_success_rate", "min_placed"),
+    "finger_press": ("max_direction_error_deg",),
+    "noise_sweep": ("median_below_deg", "at_or_above_offset", "median_above_deg",
+                    "at_or_below_offset", "monotone_slack_deg"),
+}
+_EXPECT_KEYS = tuple(dict.fromkeys(k for keys in _FAMILY_EXPECT.values() for k in keys))
+# qualifier -> the expect key it qualifies, which must be given with it
+_EXPECT_QUALIFIERS = {
+    "min_oneshot_rate": "oneshot_tolerance",
+    "at_or_above_offset": "median_below_deg",
+    "at_or_below_offset": "median_above_deg",
+}
 
 
 class ScenarioError(ValueError):
@@ -441,6 +447,19 @@ def _parse_expect(data, path: str) -> dict:
     return out
 
 
+def _check_expect(family: str, sections: dict) -> None:
+    """Reject expect keys that the family's report cannot judge."""
+    expect = sections["expect"]
+    for key in expect:
+        if key not in _FAMILY_EXPECT[family]:
+            _fail(f"scenario.expect.{key}", f"not checked for family {family}")
+    for qualifier, key in _EXPECT_QUALIFIERS.items():
+        if qualifier in expect and key not in expect:
+            _fail(f"scenario.expect.{qualifier}", f"qualifies {key}, which is not given")
+    if "oneshot_tolerance" in expect and sections["placement"]["stable_xy"] is None:
+        _fail("scenario.expect.oneshot_tolerance", "needs scenario.placement.stable_xy")
+
+
 _SECTION_PARSERS = {
     "world": _parse_world,
     "object": _parse_object,
@@ -521,6 +540,7 @@ class Scenario:
                 value = {}
             sections[key] = _SECTION_PARSERS[key](value, f"scenario.{key}")
 
+        _check_expect(family, sections)
         sweep = sections.get("sweep")
         if sweep is not None:
             expected = len(sweep["magnitudes"]) * sweep["directions"] * sweep["repeats"]

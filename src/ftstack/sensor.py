@@ -1,4 +1,4 @@
-"""Simulated wrist force-torque sensing and the two-phase calibration.
+"""Simulated wrist force-torque sensing.
 
 The sensor owns one RNG stream; its sample counter is the clock, one tick per
 reading at the configured rate. Noise defaults are tuned artifact choices,
@@ -7,7 +7,7 @@ not measured hardware values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,10 +16,6 @@ from .spatial import Wrench, _as_vec3
 
 class InsufficientSamples(RuntimeError):
     """Averaging window too short to produce a single sample."""
-
-
-class CalibrationIncomplete(RuntimeError):
-    """A calibration phase required for this operation has not run."""
 
 
 @dataclass(frozen=True)
@@ -99,48 +95,3 @@ class ForceTorqueSensor:
             acc_f += reading.force
             frame = reading.frame
         return Wrench(acc_tau / n_avg, acc_f / n_avg, frame=frame)
-
-
-@dataclass(frozen=True)
-class CalibrationState:
-    """Hover baseline (phase 1) and flat-press reference (phase 2).
-
-    Readings are stored in whatever frame the caller captured them in; the
-    placement pipeline stores wrist-frame readings and converts them to the
-    assumed-COM frame on use.
-    """
-
-    hover_baseline: Wrench | None = None
-    flat_reference: Wrench | None = None
-
-    @property
-    def gravity_estimate(self) -> np.ndarray:
-        if self.hover_baseline is None:
-            raise CalibrationIncomplete("hover phase has not run")
-        return self.hover_baseline.force
-
-    @property
-    def complete(self) -> bool:
-        return self.hover_baseline is not None and self.flat_reference is not None
-
-    def require_complete(self) -> None:
-        if self.hover_baseline is None:
-            raise CalibrationIncomplete("hover phase has not run")
-        if self.flat_reference is None:
-            raise CalibrationIncomplete("flat-press phase has not run")
-
-
-def calibrate_hover(state: CalibrationState, reading: Wrench) -> CalibrationState:
-    """Store the free-hang baseline; its force part is the gravity estimate."""
-    if reading.force[2] >= 0.0:
-        raise ValueError(
-            f"hover reading shows no hanging weight (fz = {reading.force[2]:.3g} N)"
-        )
-    return replace(state, hover_baseline=reading)
-
-
-def calibrate_flat_reference(state: CalibrationState, reading: Wrench) -> CalibrationState:
-    """Store the settled flat-press reference; requires the hover phase first."""
-    if state.hover_baseline is None:
-        raise CalibrationIncomplete("flat-press phase requires the hover baseline first")
-    return replace(state, flat_reference=reading)

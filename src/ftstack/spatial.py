@@ -71,12 +71,6 @@ def _frozen_copy(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _merge_frames(a: FrameId | None, b: FrameId | None, what: str) -> FrameId | None:
-    if a is not None and b is not None and a != b:
-        raise FrameMismatch(f"{what}: {a.value} vs {b.value}")
-    return a if a is not None else b
-
-
 @dataclass(frozen=True, eq=False)
 class Wrench:
     """Torque-first wrench about a frame origin, optionally frame-labeled."""
@@ -91,14 +85,6 @@ class Wrench:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.torque, self.force])
-
-    def __add__(self, other: "Wrench") -> "Wrench":
-        frame = _merge_frames(self.frame, other.frame, "wrench add")
-        return Wrench(self.torque + other.torque, self.force + other.force, frame)
-
-    def __sub__(self, other: "Wrench") -> "Wrench":
-        frame = _merge_frames(self.frame, other.frame, "wrench subtract")
-        return Wrench(self.torque - other.torque, self.force - other.force, frame)
 
     def __repr__(self) -> str:
         tag = f", frame={self.frame.value}" if self.frame is not None else ""

@@ -40,10 +40,6 @@ class Footprint:
         if self.size <= 0.0:
             raise ValueError("footprint size must be positive")
 
-    @property
-    def bounding_radius(self) -> float:
-        return self.size if self.kind == "disk" else self.size * np.sqrt(2.0)
-
     def sample_offsets(self, pitch: float) -> np.ndarray:
         return _footprint_offsets(self.kind, self.size, pitch)
 
@@ -195,13 +191,6 @@ class ReleaseOutcome:
     top_height: float | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class PlacedObject:
-    obj: HeldObject
-    final_com: np.ndarray
-    top_height: float
-
-
 class World:
     """Terrain, the optional held object, and the quasi-static contact model."""
 
@@ -211,12 +200,9 @@ class World:
         if not layers:
             raise ValueError("world needs at least one surface layer")
         self.params = params if params is not None else SimParams()
-        self.x_range = tuple(float(v) for v in x_range)
-        self.y_range = tuple(float(v) for v in y_range)
-        self.overlay = HeightField.empty(self.x_range, self.y_range, self.params.raster_pitch)
+        self.overlay = HeightField.empty(x_range, y_range, self.params.raster_pitch)
         self.terrain = LayeredSurface(layers + (self.overlay,))
         self.held: HeldObject | None = None
-        self.placed: list[PlacedObject] = []
 
     def hold(self, obj: HeldObject) -> None:
         self.held = obj
@@ -436,8 +422,6 @@ class World:
 
         final_com = np.array([com[0], com[1], rest_bottom + obj.tip_to_bottom + obj.com_offset[2]])
         top_height = top_base + (obj.top.amplitude if obj.top.kind == "undulating" else 0.0)
-        placed = PlacedObject(obj=obj, final_com=final_com, top_height=float(top_height))
-        self.placed.append(placed)
         return ReleaseOutcome(settled=True, final_com=final_com, top_height=float(top_height))
 
 

@@ -307,6 +307,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    def test_expect_key_the_family_cannot_judge_exits_two(self, tmp_path, capsys):
+        doc = tiny_placement().to_dict()
+        doc["expect"] = {"median_below_deg": 10.0}
+        path = tmp_path / "bad_expect.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario.expect.median_below_deg: not checked for family zero_offset" in err
+
     def test_plot_data_subcommand(self, tmp_path, capsys):
         path = self.scenario_file(tmp_path, tiny_placement(trials=1))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0

@@ -11,6 +11,7 @@ from ftstack.scenario import (
     FAMILIES,
     Scenario,
     ScenarioError,
+    _FAMILY_EXPECT,
     _SIM_PARAM_BOUNDS,
     build_object,
     build_policy,
@@ -69,6 +70,12 @@ def minimal_press() -> dict:
         "trials": 3,
         "press": {"offset_radius": 0.1, "torques": [1.0, 2.0, 3.0]},
     }
+
+
+def minimal_stack() -> dict:
+    d = minimal_placement()
+    d.update(family="multi_stack", stack={"count": 2})
+    return d
 
 
 class TestShippedFiles:
@@ -190,6 +197,45 @@ class TestValidation:
 
     def test_world_params_bounds_cover_sim_params(self):
         assert set(_SIM_PARAM_BOUNDS) == {f.name for f in dataclasses.fields(SimParams)}
+
+    @pytest.mark.parametrize("make, key, value", [
+        (minimal_placement, "median_below_deg", 10.0),
+        (minimal_placement, "min_placed", 1),
+        (minimal_stack, "max_iterations_per_trial", 5),
+        (minimal_stack, "all_outcome", "no_contact"),
+        (minimal_press, "min_success_rate", 1.0),
+        (minimal_sweep, "max_direction_error_deg", 5.0),
+    ])
+    def test_expect_keys_the_family_cannot_judge(self, make, key, value):
+        d = make()
+        d["expect"] = {key: value}
+        with pytest.raises(ScenarioError, match=rf"scenario\.expect\.{key}: not checked "
+                                                rf"for family {d['family']}"):
+            Scenario.from_dict(d)
+
+    @pytest.mark.parametrize("make, qualifier, key", [
+        (minimal_placement, "min_oneshot_rate", "oneshot_tolerance"),
+        (minimal_sweep, "at_or_above_offset", "median_below_deg"),
+        (minimal_sweep, "at_or_below_offset", "median_above_deg"),
+    ])
+    def test_expect_qualifier_needs_its_key(self, make, qualifier, key):
+        d = make()
+        d["expect"] = {qualifier: 0.5}
+        with pytest.raises(ScenarioError,
+                           match=rf"scenario\.expect\.{qualifier}: qualifies {key}"):
+            Scenario.from_dict(d)
+
+    def test_oneshot_tolerance_needs_stable_xy(self):
+        d = minimal_placement()
+        d["expect"] = {"oneshot_tolerance": 0.01}
+        with pytest.raises(ScenarioError,
+                           match=r"scenario\.expect\.oneshot_tolerance: needs .*stable_xy"):
+            Scenario.from_dict(d)
+        d["placement"] = {"stable_xy": [0.0, 0.0]}
+        assert Scenario.from_dict(d).expect == {"oneshot_tolerance": 0.01}
+
+    def test_expect_table_covers_every_family(self):
+        assert set(_FAMILY_EXPECT) == set(FAMILIES)
 
     def test_com_offset_and_sampler_are_exclusive(self):
         d = minimal_placement()

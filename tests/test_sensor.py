@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
+from ftstack.policy import PolicyConfig, calibrate_for_held
 from ftstack.sensor import (
-    CalibrationIncomplete,
-    CalibrationState,
     ForceTorqueSensor,
     InsufficientSamples,
     ReadingWindow,
     SensorConfig,
-    calibrate_flat_reference,
-    calibrate_hover,
 )
 from ftstack.spatial import FrameId, Wrench
+from ftstack.surfaces import FlatPlane
+from ftstack.world import Footprint, HeldObject, World
 
 HOVER = Wrench((0.0, 0.0, 0.0), (0.0, 0.0, -9.81), frame=FrameId.WRIST)
 
@@ -95,30 +94,23 @@ class TestWindows:
 
 
 class TestCalibration:
-    def test_hover_then_flat(self):
-        state = calibrate_hover(CalibrationState(), HOVER)
-        assert not state.complete
-        np.testing.assert_array_equal(state.gravity_estimate, HOVER.force)
-        flat = Wrench((0.0, 0.05, 0.0), (0.0, 0.0, 0.19), frame=FrameId.WRIST)
-        state = calibrate_flat_reference(state, flat)
-        assert state.complete
-        state.require_complete()
+    def test_hover_rejects_weightless_reading(self, monkeypatch):
+        # a 20 N upward bias outweighs the 1 kg load, so the hover reading
+        # shows no hanging weight and calibration stops before the flat press
+        world = World(FlatPlane(0.0))
+        world.hold(HeldObject(mass=1.0, footprint=Footprint("disk", 0.05), thickness=0.02))
+        sensor = ForceTorqueSensor(SensorConfig(noise_torque=0.0, noise_force=0.0,
+                                                bias_force=(0.0, 0.0, 20.0)))
 
-    def test_hover_rejects_weightless_reading(self):
-        floating = Wrench((0.0, 0.0, 0.0), (0.0, 0.0, 0.2))
-        with pytest.raises(ValueError):
-            calibrate_hover(CalibrationState(), floating)
+        def no_descent(*args, **kwargs):
+            raise AssertionError("the flat press ran before the hover check")
 
-    def test_flat_requires_hover_first(self):
-        with pytest.raises(CalibrationIncomplete):
-            calibrate_flat_reference(CalibrationState(), HOVER)
-
-    def test_incomplete_state_raises(self):
-        state = calibrate_hover(CalibrationState(), HOVER)
-        with pytest.raises(CalibrationIncomplete):
-            state.require_complete()
-        with pytest.raises(CalibrationIncomplete):
-            CalibrationState().gravity_estimate
+        monkeypatch.setattr(World, "descend_until_contact", no_descent)
+        with pytest.raises(ValueError, match=r"no hanging weight \(fz = 10\.2 N\)"):
+            calibrate_for_held(world, sensor, PolicyConfig(), ReadingWindow(),
+                               (0.15, -0.15), 0.1)
+        # one window: 0.1 s settle and 0.5 s average at 25 Hz, 2 + 12 samples
+        assert sensor.time == pytest.approx((2 + 12) / 25.0)
 
     def test_constant_bias_cancels_in_differences(self):
         # the same bias rides every reading, so hover-subtracted quantities
