@@ -184,10 +184,14 @@ class HeightField:
         valid = (ix >= 0) & (ix < nx - 1) & (iy >= 0) & (iy < ny - 1)
         ixc = np.clip(ix, 0, nx - 2)
         iyc = np.clip(iy, 0, ny - 2)
-        v00 = self.values[iyc, ixc]
-        v10 = self.values[iyc, ixc + 1]
-        v01 = self.values[iyc + 1, ixc]
-        v11 = self.values[iyc + 1, ixc + 1]
+        # one flat index per query point: a single 1-D gather per corner;
+        # ravel follows the logical [iy, ix] order whatever the memory layout
+        flat = self.values.ravel()
+        i00 = iyc * nx + ixc
+        v00 = flat[i00]
+        v10 = flat[i00 + 1]
+        v01 = flat[i00 + nx]
+        v11 = flat[i00 + nx + 1]
         finite = (
             valid & np.isfinite(v00) & np.isfinite(v10) & np.isfinite(v01) & np.isfinite(v11)
         )

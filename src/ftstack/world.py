@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .spatial import FrameId, Wrench
+from .spatial import FrameId, Wrench, cross
 from .surfaces import NO_SURFACE, HeightField, LayeredSurface
 
 
@@ -357,14 +357,14 @@ class World:
         tau = np.zeros(tips.shape)
         f = np.zeros(tips.shape)
         f_obj = np.array([0.0, 0.0, -obj.mass * g])
-        tau += np.cross(tips + obj.com_offset - wrist, f_obj)
+        tau += cross(tips + obj.com_offset - wrist, f_obj)
         f += f_obj
         if self.params.gripper_mass > 0.0:
             f_grip = np.array([0.0, 0.0, -self.params.gripper_mass * g])
-            tau += np.cross(tips - wrist, f_grip)
+            tau += cross(tips - wrist, f_grip)
             f += f_grip
         if contact_force is not None:
-            tau[touching] += np.cross(contact_point - wrist[touching], contact_force)
+            tau[touching] += cross(contact_point - wrist[touching], contact_force)
             f[touching] += contact_force
         return tau, f
 
@@ -381,11 +381,12 @@ class World:
         pts = contact.contact_patch[:, :2]
         margin = self.params.stability_margin
         if pts.shape[0] >= 3:
+            extremes = _column_extremes(pts)
             try:
-                hull = ConvexHull(pts)
+                hull = ConvexHull(extremes)
             except QhullError:
                 return _distance_to_point_set(com, pts) <= margin
-            verts = pts[hull.vertices]  # counter-clockwise
+            verts = extremes[hull.vertices]  # counter-clockwise
             edges = np.roll(verts, -1, axis=0) - verts
             rel = com[None, :] - verts
             inward = edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]
@@ -436,21 +437,41 @@ def _with_force(contact: ContactResult, force: float, penetration: float) -> Con
     )
 
 
+def _column_extremes(pts: np.ndarray) -> np.ndarray:
+    """The lowest-y and highest-y point of each distinct x, sorted by (x, y).
+
+    Any other point lies on the segment between its column's two extremes,
+    so these rows span the convex hull of ``pts`` and hold all its vertices.
+    """
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    xs = pts[order, 0]
+    new_column = xs[1:] != xs[:-1]
+    keep = np.concatenate([[True], new_column]) | np.concatenate([new_column, [True]])
+    return pts[order[keep]]
+
+
 def _distance_to_point_set(p: np.ndarray, pts: np.ndarray) -> float:
-    """Distance from p to the convex hull of a point or collinear set."""
+    """Distance from p to the convex hull of a point or collinear set.
+
+    The least distance from p to any segment between two of the points,
+    all pairs in one array pass: t is p's clipped projection parameter on
+    the segment, and a zero-length pair measures to its point. Stacked dot
+    products give the bits a one-vector ``@`` and ``np.linalg.norm`` give.
+    """
     if pts.shape[0] == 1:
         return float(np.linalg.norm(p - pts[0]))
-    best = np.inf
-    for i in range(pts.shape[0]):
-        for j in range(i + 1, pts.shape[0]):
-            best = min(best, _distance_to_segment(p, pts[i], pts[j]))
-    return float(best)
+    i, j = np.triu_indices(pts.shape[0], 1)
+    a = pts[i]
+    ab = pts[j] - a
+    denom = _row_dots(ab, ab)
+    zero = denom == 0.0
+    # a zero-length pair keeps t = 0, which leaves the distance to its point
+    t = np.clip(_row_dots(p - a, ab) / np.where(zero, 1.0, denom), 0.0, 1.0)
+    t[zero] = 0.0
+    rel = p - (a + t[:, None] * ab)
+    return float(np.min(np.sqrt(_row_dots(rel, rel))))
 
 
-def _distance_to_segment(p, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = np.clip(float((p - a) @ ab) / denom, 0.0, 1.0)
-    return float(np.linalg.norm(p - (a + t * ab)))
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+

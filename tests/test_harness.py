@@ -278,6 +278,50 @@ class TestDeterminism:
         assert on_disk == report
 
 
+
+def safe_dump_text(doc) -> str:
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+class TestReportEmitter:
+    """report.yaml goes through libyaml's emitter; its text must be safe_dump's."""
+
+    @staticmethod
+    def c_dump_text(doc) -> str:
+        return yaml.dump(doc, Dumper=yaml.CSafeDumper, sort_keys=False)
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_shipped_scenario_reports(self, path, tmp_path):
+        report = run_scenario(path, out_dir=tmp_path)
+        text = (tmp_path / "report.yaml").read_text(encoding="utf-8")
+        assert text == safe_dump_text(report)
+        assert self.c_dump_text(report) == text
+
+    def test_failed_trials_carry_error_text(self, tmp_path):
+        # an approach that starts inside the puck fails every trial with a
+        # message holding ': ' and decimals
+        report = run_scenario(tiny_placement(trials=2, placement={"hover_tip_z": 0.03}),
+                              out_dir=tmp_path)
+        assert report["results"]["errors"] == 2
+        text = (tmp_path / "report.yaml").read_text(encoding="utf-8")
+        assert text == safe_dump_text(report) == self.c_dump_text(report)
+
+    def test_edge_case_values(self):
+        report = run_scenario(tiny_press())
+        long = "RuntimeError: " + "descent range of 12 steps misses the stop; " * 20
+        report["results"]["per_trial"] = [
+            {"trial": 0, "error": long},
+            {"trial": 1, "error": "ValueError: name 'x' is \"odd\": a # not a comment"},
+            {"trial": 2, "error": "first line\nsecond line:\ttabbed # end"},
+            {"trial": 3, "error": "non-ASCII: µ ° \u00e9 \u2014 \u00a0", "note": ""},
+            {"trial": 4, "values": [float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+                                    1e-300, 5e-324, 1.7976931348623157e308]},
+            {"trial": 5, "empty_list": [], "empty_map": {}, "none": None, "flag": False,
+             "yes": "yes", "null": "null", "number_text": "0.10", "colon": "a: b"},
+        ]
+        assert self.c_dump_text(report) == safe_dump_text(report)
+
 class TestCli:
     def scenario_file(self, tmp_path, scenario) -> Path:
         path = tmp_path / f"{scenario.name}.yaml"

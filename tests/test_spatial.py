@@ -16,6 +16,7 @@ from ftstack.spatial import (
     RigidTransform,
     Wrench,
     compose,
+    cross,
     invert,
     tangent_projection,
     transform_twist,
@@ -206,3 +207,20 @@ def test_batched_wrench_transform_checks_frames():
     transform_wrenches(g, [ok, Wrench(np.zeros(3), np.ones(3))])
     with pytest.raises(FrameMismatch):
         transform_wrenches(g, [ok, bad])
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((3,), (3,)), ((200, 3), (3,)),
+                                              ((3,), (200, 3)), ((200, 3), (200, 3))])
+def test_cross_matches_numpy_bit_for_bit(shape_a, shape_b):
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+        for v in (a, b):  # exact zeros of both signs, so products and differences hit -0.0
+            flat = v.reshape(-1)
+            flat[rng.random(flat.size) < 0.3] = 0.0
+            flat[rng.random(flat.size) < 0.2] = -0.0
+        expected = np.cross(a, b)
+        got = cross(a, b)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))

@@ -124,6 +124,22 @@ class TestHeightField:
         assert float(gy) == pytest.approx(0.0, abs=1e-12)
 
 
+    def test_queries_follow_the_logical_layout(self):
+        # the corner gather indexes the raster flat; a Fortran-ordered grid
+        # must answer exactly as its C-ordered copy, empty cells included
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0.0, 0.05, (37, 53))
+        values[rng.random(values.shape) < 0.1] = NO_SURFACE
+        fortran = HeightField((-0.05, -0.03), 0.002, np.asfortranarray(values))
+        c_order = HeightField((-0.05, -0.03), 0.002, np.ascontiguousarray(values))
+        assert fortran.values.flags.f_contiguous and not fortran.values.flags.c_contiguous
+        x = rng.uniform(-0.06, 0.06, 2000)
+        y = rng.uniform(-0.04, 0.05, 2000)
+        assert np.array_equal(fortran.height(x, y), c_order.height(x, y))
+        for g_f, g_c in zip(fortran.grad(x, y), c_order.grad(x, y)):
+            assert np.array_equal(g_f, g_c)
+        assert fortran.height(0.0101, 0.0203) == c_order.height(0.0101, 0.0203)
+
 def reference_stamp(values, origin, pitch, center, mask_fn, height_fn):
     """Max-update over the whole raster, as a stamp that scans every node."""
     ny, nx = values.shape

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from ftstack.estimation import estimate_contact
 from ftstack.spatial import FrameId, Wrench, transform_wrench
@@ -16,6 +17,8 @@ from ftstack.world import (
     NoContactWithinRange,
     SimParams,
     World,
+    _column_extremes,
+    _distance_to_point_set,
 )
 from ftstack.policy import com_frame_transform
 
@@ -320,6 +323,118 @@ class TestStability:
         assert contact.contact_patch.shape[0] < 3
         assert world.stable_if_released((0.013, -0.007), contact)
         assert not world.stable_if_released((0.016, -0.007), contact)
+
+
+def hull_margin(verts, com):
+    """stable_if_released's margin: least inward distance of com to a hull edge."""
+    edges = np.roll(verts, -1, axis=0) - verts
+    rel = com[None, :] - verts
+    inward = edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]
+    return np.min(inward / np.linalg.norm(edges, axis=1))
+
+
+def random_tie_patch(rng):
+    """A disk or square footprint's samples at a random center, maybe cut."""
+    kind = ("disk", "square")[rng.integers(2)]
+    size = (0.01, 0.03, 0.05)[rng.integers(3)]
+    pts = Footprint(kind, size).sample_offsets(1e-3) + rng.uniform(-0.1, 0.1, 2)
+    center = pts.mean(axis=0)
+    cut = rng.integers(3)
+    if cut == 1:  # half-plane through a point near the center
+        normal = rng.normal(size=2)
+        pts = pts[(pts - center - rng.uniform(-0.5, 0.5) * size) @ normal >= 0.0]
+    elif cut == 2:  # disk around a point of the footprint
+        keep_center = center + rng.uniform(-size, size, 2)
+        radius = rng.uniform(0.3, 1.5) * size
+        pts = pts[np.sum((pts - keep_center) ** 2, axis=1) <= radius * radius]
+    return pts
+
+
+class TestColumnExtremesHull:
+    """The support hull built on column extremes equals the full patch's hull."""
+
+    def test_vertices_and_margin_match_the_full_patch(self):
+        rng = np.random.default_rng(7)
+        world = World(FlatPlane(0.0))
+        margin = world.params.stability_margin
+        checked = 0
+        while checked < 60:
+            pts = random_tie_patch(rng)
+            if pts.shape[0] < 3:
+                continue
+            try:
+                full = ConvexHull(pts)
+            except QhullError:
+                continue
+            extremes = _column_extremes(pts)
+            reduced = ConvexHull(extremes)
+            full_verts = pts[full.vertices]
+            reduced_verts = extremes[reduced.vertices]
+            assert {tuple(v) for v in full_verts} == {tuple(v) for v in reduced_verts}
+            contact = ContactResult(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.0, 0.0,
+                                    np.column_stack([pts, np.zeros(len(pts))]), 0.0)
+            for com in pts[rng.integers(pts.shape[0], size=4)] + rng.normal(0, 0.01, (4, 2)):
+                expected = hull_margin(full_verts, com)
+                assert hull_margin(reduced_verts, com) == expected
+                assert world.stable_if_released(com, contact) == (expected >= margin)
+            checked += 1
+
+    def test_extremes_are_the_lowest_and_highest_point_of_each_column(self):
+        pts = np.array([[0.0, 0.0], [0.0, 2.0], [0.0, 1.0], [1.0, 5.0], [2.0, 1.0], [2.0, -1.0]])
+        assert _column_extremes(pts).tolist() == [
+            [0.0, 0.0], [0.0, 2.0], [1.0, 5.0], [2.0, -1.0], [2.0, 1.0]]
+
+
+def _distance_to_segment(p, a, b) -> float:
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return float(np.linalg.norm(p - a))
+    t = np.clip(float((p - a) @ ab) / denom, 0.0, 1.0)
+    return float(np.linalg.norm(p - (a + t * ab)))
+
+
+def loop_distance_to_point_set(p, pts) -> float:
+    """Reference: the least distance to a segment, one pair at a time."""
+    if pts.shape[0] == 1:
+        return float(np.linalg.norm(p - pts[0]))
+    best = np.inf
+    for i in range(pts.shape[0]):
+        for j in range(i + 1, pts.shape[0]):
+            best = min(best, _distance_to_segment(p, pts[i], pts[j]))
+    return float(best)
+
+
+class TestCollinearSupport:
+    def test_matches_the_pairwise_loop(self):
+        rng = np.random.default_rng(11)
+        margin = SimParams().stability_margin
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            origin = rng.uniform(-0.1, 0.1, 2)
+            angle = (0.0, np.pi / 2, rng.uniform(0.0, 2.0 * np.pi))[rng.integers(3)]
+            direction = np.array([np.cos(angle), np.sin(angle)])
+            s = rng.uniform(-0.05, 0.05, n)
+            s[rng.random(n) < 0.3] = s[0]  # duplicate points
+            pts = origin + s[:, None] * direction
+            side = np.array([-direction[1], direction[0]])
+            along = rng.uniform(-0.07, 0.07)
+            # off the line at random, or exactly one margin off its direction
+            offset = (rng.uniform(-0.01, 0.01), margin, -margin)[rng.integers(3)]
+            com = origin + along * direction + offset * side
+            assert _distance_to_point_set(com, pts) == loop_distance_to_point_set(com, pts)
+
+    def test_square_on_a_ramp_rests_on_one_edge(self):
+        world = World(RampPatch((-0.2, 0.2), (-0.2, 0.2), 0.02, np.radians(15.0), np.pi / 2))
+        world.hold(make_square())
+        contact, _ = world.descend_until_contact((0.0, 0.0), 10.0, 0.2)
+        pts = contact.contact_patch[:, :2]
+        assert pts.shape[0] == 101 and np.all(pts[:, 1] == pts[0, 1])
+        margin = world.params.stability_margin
+        for com in ([0.0, 0.05], [0.0, 0.0505], [0.0, 0.0511], [0.0515, 0.05], [0.0, 0.0]):
+            com = np.array(com)
+            expected = loop_distance_to_point_set(com, pts) <= margin
+            assert world.stable_if_released(com, contact) == expected
 
 
 class TestRelease:
