@@ -138,13 +138,19 @@ def propose_shift(estimate: ContactEstimate, config: PolicyConfig) -> np.ndarray
     return full[:2].copy()
 
 
-def _descent_rows(g_wr: RigidTransform, hover: Wrench, samples, times) -> np.ndarray:
-    """Trace rows (t, |f|, |tau|) of wrist-frame descent samples.
+def _descent_rows(g_wr: RigidTransform, hover: Wrench, sensor: ForceTorqueSensor,
+                  torque_rows: np.ndarray, force_rows: np.ndarray) -> np.ndarray:
+    """Trace rows (t, |f|, |tau|) of a descent's true wrist-wrench rows.
 
-    Each sample is taken to the assumed-COM frame and the hover baseline is
-    subtracted before the norms are taken.
+    The sensor reads each row in one tick, and t is its clock after that
+    tick. The readings are taken to the assumed-COM frame and the hover
+    baseline is subtracted before the norms are taken.
     """
-    torque, force = transform_wrenches(g_wr, samples)
+    torque, force, times = np.empty_like(torque_rows), np.empty_like(force_rows), []
+    for i, (tau, f) in enumerate(zip(torque_rows, force_rows)):
+        torque[i], force[i] = sensor.sample(tau, f)
+        times.append(sensor.time)
+    torque, force = transform_wrenches(g_wr, torque, force)
     return np.column_stack([
         np.asarray(times, dtype=float),
         _row_norms(force - hover.force),
@@ -183,7 +189,7 @@ def calibrate_for_held(world: World, sensor: ForceTorqueSensor, config: PolicyCo
             f"hover reading shows no hanging weight (fz = {hover.force[2]:.3g} N)"
         )
 
-    contact, tip_z = world.descend_until_contact(
+    contact, tip_z, _, _ = world.descend_until_contact(
         xy, config.resistance_threshold, float(hover_tip_z)
     )
     press_tip = np.array([xy[0], xy[1], tip_z])
@@ -194,12 +200,20 @@ def calibrate_for_held(world: World, sensor: ForceTorqueSensor, config: PolicyCo
 def press_and_estimate(world: World, sensor: ForceTorqueSensor,
                        calibration: Calibration, config: PolicyConfig,
                        window: ReadingWindow, xy, start_tip_z: float,
-                       threshold: float | None = None, on_step=None) -> PressOutcome:
+                       threshold: float | None = None) -> PressOutcome:
     """Descend at xy, settle a reading, and form the referenced estimate."""
-    g_wr = com_frame_transform(world.params.wrist_lift)
     if threshold is None:
         threshold = config.resistance_threshold
-    contact, tip_z = world.descend_until_contact(xy, threshold, start_tip_z, on_step=on_step)
+    contact, tip_z, _, _ = world.descend_until_contact(xy, threshold, start_tip_z)
+    return _settle_and_estimate(world, sensor, calibration, config, window, xy, contact, tip_z)
+
+
+def _settle_and_estimate(world: World, sensor: ForceTorqueSensor,
+                         calibration: Calibration, config: PolicyConfig,
+                         window: ReadingWindow, xy, contact: ContactResult,
+                         tip_z: float) -> PressOutcome:
+    """Settle a reading at a descent's stop and form the referenced estimate."""
+    g_wr = com_frame_transform(world.params.wrist_lift)
     tip = np.array([xy[0], xy[1], tip_z])
     reading = transform_wrench(g_wr, settle_reading_at(world, sensor, window, tip, contact))
 
@@ -248,25 +262,20 @@ def run_placement(world: World, sensor: ForceTorqueSensor,
     series: list[np.ndarray] = []
 
     for index in range(config.max_iterations):
-        samples: list[Wrench] = []
-        times: list[float] = []
-
-        def tap(true_w: Wrench) -> None:
-            samples.append(sensor.sample(true_w))
-            times.append(sensor.time)
-
         try:
-            press = press_and_estimate(
-                world, sensor, calibration, config, window, xy, approach_z, on_step=tap
+            contact, tip_z, *rows = world.descend_until_contact(
+                xy, config.resistance_threshold, approach_z
             )
-        except NoContactWithinRange:
-            series.append(_descent_rows(g_wr, hover, samples, times))
+        except NoContactWithinRange as exc:
+            series.append(_descent_rows(g_wr, hover, sensor, exc.torque_rows, exc.force_rows))
             return PlacementTrace(
                 outcome=PlacementOutcome.NO_CONTACT,
                 iterations=tuple(records),
                 descent_series=tuple(series),
             )
-        series.append(_descent_rows(g_wr, hover, samples, times))
+        series.append(_descent_rows(g_wr, hover, sensor, *rows))
+        press = _settle_and_estimate(world, sensor, calibration, config, window,
+                                     xy, contact, tip_z)
 
         if press.degenerate:
             # one stronger retry before this press counts as an iteration

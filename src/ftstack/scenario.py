@@ -217,6 +217,28 @@ def _parse_world(data, path: str) -> dict:
     }
 
 
+# object profile -> kind -> the keys besides 'kind' that the kind reads, each
+# with its default (None: required); every value is a positive number
+_PROFILE_KEYS = {
+    "bottom": {"flat": {}, "dome": {"curvature_radius": None}},
+    "top": {"flat": {}, "undulating": {"amplitude": None, "wavelength": 0.02}},
+}
+
+
+def _parse_profile(obj: dict, path: str, profile: str) -> dict:
+    """An object's bottom or top profile; a key its kind does not read fails."""
+    kinds, path = _PROFILE_KEYS[profile], f"{path}.{profile}"
+    d = _mapping(obj.get(profile, {"kind": "flat"}), path)
+    _check_keys(d, path, ("kind",), tuple(k for keys in kinds.values() for k in keys))
+    kind = _choice(d["kind"], tuple(kinds), f"{path}.kind")
+    for key in d:
+        if key != "kind" and key not in kinds[kind]:
+            _fail(f"{path}.{key}", f"not used by kind {kind}")
+    return {"kind": kind, **{key: _num(d.get(key, default), f"{path}.{key}",
+                                       lo=0.0, lo_open=True)
+                             for key, default in kinds[kind].items()}}
+
+
 def _parse_object(data, path: str) -> dict:
     d = _mapping(data, path)
     _check_keys(d, path, ("mass", "footprint", "thickness"),
@@ -232,32 +254,16 @@ def _parse_object(data, path: str) -> dict:
     sampler = None
     if "com_offset_sampler" in d:
         sampler = _parse_sampler(d["com_offset_sampler"], f"{path}.com_offset_sampler")
-    bottom = _mapping(d.get("bottom", {"kind": "flat"}), f"{path}.bottom")
-    _check_keys(bottom, f"{path}.bottom", ("kind",), ("curvature_radius",))
-    bkind = _choice(bottom["kind"], ("flat", "dome"), f"{path}.bottom.kind")
-    bottom_out = {"kind": bkind}
-    if bkind == "dome":
-        bottom_out["curvature_radius"] = _num(
-            bottom.get("curvature_radius"), f"{path}.bottom.curvature_radius",
-            lo=0.0, lo_open=True,
-        )
-    top = _mapping(d.get("top", {"kind": "flat"}), f"{path}.top")
-    _check_keys(top, f"{path}.top", ("kind",), ("amplitude", "wavelength"))
-    tkind = _choice(top["kind"], ("flat", "undulating"), f"{path}.top.kind")
-    top_out = {"kind": tkind}
-    if tkind == "undulating":
-        top_out["amplitude"] = _num(top.get("amplitude"), f"{path}.top.amplitude",
-                                    lo=0.0, lo_open=True)
-        top_out["wavelength"] = _num(top.get("wavelength", 0.02), f"{path}.top.wavelength",
-                                     lo=0.0, lo_open=True)
+    bottom = _parse_profile(d, path, "bottom")
+    top = _parse_profile(d, path, "top")
     out = {
         "mass": _num(d["mass"], f"{path}.mass", lo=0.0, lo_open=True),
         "footprint": footprint,
         "thickness": _num(d["thickness"], f"{path}.thickness", lo=0.0, lo_open=True),
         "com_offset": _vec(d.get("com_offset", [0.0, 0.0, 0.0]), 3, f"{path}.com_offset"),
         "com_offset_sampler": sampler,
-        "bottom": bottom_out,
-        "top": top_out,
+        "bottom": bottom,
+        "top": top,
     }
     if "tip_to_bottom" in d:
         out["tip_to_bottom"] = _num(d["tip_to_bottom"], f"{path}.tip_to_bottom",

@@ -1,7 +1,8 @@
 """Simulated wrist force-torque sensing.
 
 The sensor owns one RNG stream; its sample counter is the clock, one tick per
-reading at the configured rate. Noise defaults are tuned artifact choices,
+``sample`` call at the configured rate. A tick reads one true wrench, given
+as (3,) torque and force arrays. Noise defaults are tuned artifact choices,
 not measured hardware values.
 """
 
@@ -62,21 +63,19 @@ class ForceTorqueSensor:
     def time(self) -> float:
         return self._samples / self.config.sample_rate
 
-    def sample(self, true_wrench: Wrench) -> Wrench:
+    def sample(self, torque: np.ndarray, force: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One tick: the torque and force read for a true wrench's (3,) parts."""
         t = self.time
         # noise is drawn even at zero std so the stream advances identically
         n_tau = self._rng.normal(0.0, self.config.noise_torque, 3)
         n_f = self._rng.normal(0.0, self.config.noise_force, 3)
         self._samples += 1
-        return Wrench(
-            true_wrench.torque + self._bias_torque + self._drift_torque * t + n_tau,
-            true_wrench.force + self._bias_force + self._drift_force * t + n_f,
-            frame=true_wrench.frame,
-        )
+        return (torque + self._bias_torque + self._drift_torque * t + n_tau,
+                force + self._bias_force + self._drift_force * t + n_f)
 
     def settle_and_average(self, true_wrench: Wrench, window: ReadingWindow) -> Wrench:
         """Discard the settle span, then average the window into one reading
-        of a constant (quasi-static) true wrench."""
+        of a constant (quasi-static) true wrench, one tick per sample."""
         n_settle = int(np.floor(window.settle_time * self.config.sample_rate))
         n_avg = int(np.floor(window.average_time * self.config.sample_rate))
         if n_avg < 1:
@@ -85,13 +84,11 @@ class ForceTorqueSensor:
                 f"{self.config.sample_rate} Hz"
             )
         for _ in range(n_settle):
-            self.sample(true_wrench)
+            self.sample(true_wrench.torque, true_wrench.force)
         acc_tau = np.zeros(3)
         acc_f = np.zeros(3)
-        frame = None
         for _ in range(n_avg):
-            reading = self.sample(true_wrench)
-            acc_tau += reading.torque
-            acc_f += reading.force
-            frame = reading.frame
-        return Wrench(acc_tau / n_avg, acc_f / n_avg, frame=frame)
+            tau, f = self.sample(true_wrench.torque, true_wrench.force)
+            acc_tau += tau
+            acc_f += f
+        return Wrench(acc_tau / n_avg, acc_f / n_avg, frame=true_wrench.frame)

@@ -193,19 +193,13 @@ def transform_wrench(g_ab: RigidTransform, wrench_a: Wrench) -> Wrench:
     return Wrench(tau, rot_t @ wrench_a.force, frame=g_ab.child)
 
 
-def transform_wrenches(g_ab: RigidTransform, wrenches) -> tuple[np.ndarray, np.ndarray]:
-    """``transform_wrench`` over a sequence of parent-frame wrenches at once.
+def transform_wrenches(g_ab: RigidTransform, torque: np.ndarray,
+                       force: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``transform_wrench`` over (N, 3) parent-frame torque and force rows.
 
     Returns the child-frame torques and forces as (N, 3) rows, bit for bit
     the components ``transform_wrench`` gives one wrench at a time.
     """
-    for w in wrenches:
-        if w.frame is not None and g_ab.parent is not None and w.frame != g_ab.parent:
-            raise FrameMismatch(
-                f"wrench in {w.frame.value} cannot transform via parent {g_ab.parent.value}"
-            )
-    torque = np.array([w.torque for w in wrenches]).reshape(-1, 3)
-    force = np.array([w.force for w in wrenches]).reshape(-1, 3)
     rot_t = g_ab.rotation.T
     # one stacked matrix-vector product per row, the product transform_wrench takes
     tau = (rot_t @ (torque - cross(g_ab.translation, force))[:, :, None])[:, :, 0]

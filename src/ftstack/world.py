@@ -24,7 +24,13 @@ from .surfaces import NO_SURFACE, HeightField, LayeredSurface
 
 
 class NoContactWithinRange(RuntimeError):
-    """Descent exhausted its height budget without meeting resistance."""
+    """Descent exhausted its height budget without meeting resistance; carries
+    the stepped poses' wrist-wrench rows, as a descent with contact returns them."""
+
+    def __init__(self, message: str, torque_rows: np.ndarray, force_rows: np.ndarray):
+        super().__init__(message)
+        self.torque_rows = torque_rows
+        self.force_rows = force_rows
 
 
 @dataclass(frozen=True)
@@ -248,18 +254,18 @@ class World:
             touch_height=float(z_touch),
         )
 
-    def descend_until_contact(self, xy, resistance_threshold: float, start_tip_z: float,
-                              on_step=None):
+    def descend_until_contact(self, xy, resistance_threshold: float, start_tip_z: float):
         """Lower the held object until spring force reaches the threshold.
 
         Steps down by descent_step until the spring force meets
         resistance_threshold (detection), then settles at exactly the
         threshold compression, like a force-servo halt. All stepped poses,
-        and their true wrist wrenches, are computed in one vectorized pass;
-        ``on_step`` is then called once per stepped pose, in order, with that
-        pose's wrench, which is where the contact-approach time series comes
-        from. Raises NoContactWithinRange, after those calls, when the bottom
-        face passes the descent floor untouched.
+        and their true wrist wrenches, are computed in one vectorized pass.
+        Returns ``(contact, tip_z, torque_rows, force_rows)``: the rows are
+        the (N, 3) wrist-frame torque and force of each stepped pose in
+        order, the contact-approach time series. Raises NoContactWithinRange,
+        carrying those rows, when the bottom face passes the descent floor
+        untouched.
         """
         obj = self._require_held()
         if resistance_threshold <= 0.0:
@@ -275,9 +281,9 @@ class World:
             )
 
         pen_target = resistance_threshold / self.params.spring_k
-        contact_geom = None
+        contact = None
         if np.isfinite(z_touch):
-            contact_geom = self._contact_at(touch, pts, tower, 0.0, 0.0)
+            contact = self._contact_at(touch, pts, tower, resistance_threshold, pen_target)
 
         xy = np.asarray(xy, dtype=float)
         step = self.params.descent_step
@@ -304,28 +310,24 @@ class World:
             )
         last = int(stops[0])
 
-        if on_step is not None:
-            z_steps, f_steps = z_bottom[: last + 1], force[: last + 1]
-            tips = np.empty((last + 1, 3))
-            tips[:, :2] = xy
-            tips[:, 2] = z_steps + obj.tip_to_bottom
-            touching = f_steps > 0.0
-            if touching.any():
-                fc = f_steps[touching, None] * contact_geom.surface_normal
-                tau, f = self._wrist_wrench_rows(tips, contact_geom.contact_point, fc, touching)
-            else:
-                tau, f = self._wrist_wrench_rows(tips)
-            for i in range(last + 1):
-                on_step(Wrench(tau[i], f[i], frame=FrameId.WRIST))
+        tips = np.empty((last + 1, 3))
+        tips[:, :2] = xy
+        tips[:, 2] = z_bottom[: last + 1] + obj.tip_to_bottom
+        f_steps = force[: last + 1]
+        touching = f_steps > 0.0
+        if touching.any():
+            fc = f_steps[touching, None] * contact.surface_normal
+            tau, f = self._wrist_wrench_rows(tips, contact.contact_point, fc, touching)
+        else:
+            tau, f = self._wrist_wrench_rows(tips)
         if not detected[last]:
             raise NoContactWithinRange(
                 f"no resistance above the floor {floor} m at "
-                f"xy ({xy[0]:.3f}, {xy[1]:.3f})"
+                f"xy ({xy[0]:.3f}, {xy[1]:.3f})",
+                tau, f,
             )
-
         z_stop = z_touch - pen_target
-        contact = _with_force(contact_geom, float(resistance_threshold), float(pen_target))
-        return contact, float(z_stop + obj.tip_to_bottom)
+        return contact, float(z_stop + obj.tip_to_bottom), tau, f
 
     # -- wrench synthesis ---------------------------------------------------
 
@@ -424,17 +426,6 @@ class World:
         final_com = np.array([com[0], com[1], rest_bottom + obj.tip_to_bottom + obj.com_offset[2]])
         top_height = top_base + (obj.top.amplitude if obj.top.kind == "undulating" else 0.0)
         return ReleaseOutcome(settled=True, final_com=final_com, top_height=float(top_height))
-
-
-def _with_force(contact: ContactResult, force: float, penetration: float) -> ContactResult:
-    return ContactResult(
-        contact_point=contact.contact_point,
-        surface_normal=contact.surface_normal,
-        penetration=penetration,
-        normal_force_magnitude=force,
-        contact_patch=contact.contact_patch,
-        touch_height=contact.touch_height,
-    )
 
 
 def _column_extremes(pts: np.ndarray) -> np.ndarray:

@@ -2,12 +2,15 @@
 
 Each test prints a single summary line; run with -rP (or -s) to see them
 alongside the pass/fail verdict that pytest -v already gives per criterion.
+A last test, one case per shipped scenario, requires every scenario's
+embedded expectations to pass; it reuses the reports the criteria ran.
 """
 
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ftstack.estimation import flat_direction, recover_contact_offset
 from ftstack.harness import run_scenario
@@ -267,3 +270,10 @@ def test_criterion_11_byte_identical_reports(tmp_path):
         pairs.append((name, len(files_a)))
     detail = ", ".join(f"{name}: {n} files" for name, n in pairs)
     print(f"criterion 11: byte-identical artifacts across re-runs ({detail})")
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_every_shipped_scenario_meets_its_expectations(path):
+    report = run_shipped(path.stem)
+    failed = sorted(key for key, check in report["checks"].items() if not check["passed"])
+    assert report["checks"] and report["passed"], f"{path.stem}: failed checks {failed}"

@@ -18,9 +18,9 @@ from ftstack.policy import (
     run_stack,
 )
 from ftstack.sensor import ForceTorqueSensor, ReadingWindow, SensorConfig
-from ftstack.spatial import FrameId, transform_wrench
+from ftstack.spatial import FrameId, Wrench, transform_wrench
 from ftstack.surfaces import FlatPlane, Puck, RampPatch, SphericalCap
-from ftstack.world import Footprint, HeldObject, World
+from ftstack.world import Footprint, HeldObject, NoContactWithinRange, World
 
 CAL_XY = (0.15, -0.15)
 HOVER_Z = 0.1
@@ -180,6 +180,33 @@ class TestRunPlacement:
         assert trace.iterations == ()
         assert len(trace.descent_series) == 1
 
+    def test_no_contact_series_comes_from_the_exception_rows(self, monkeypatch):
+        world = World(Puck(CAL_XY, 0.07, 0.02))
+        world.hold(make_disk())
+        config = PolicyConfig()
+        state = calibrated(world, quiet_sensor(), config)
+        raised = []
+        descend = World.descend_until_contact
+
+        def keep_exception(self, *args, **kwargs):
+            try:
+                return descend(self, *args, **kwargs)
+            except NoContactWithinRange as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(World, "descend_until_contact", keep_exception)
+        sensor = RecordingSensor(SensorConfig(seed=9))
+        trace = run_placement(world, sensor, state, config, (0.0, 0.0), 0.1)
+        assert trace.outcome is PlacementOutcome.NO_CONTACT
+        [exc] = raised
+        series = trace.descent_series[-1]
+        assert len(series) == exc.torque_rows.shape[0] == exc.force_rows.shape[0] > 0
+        for t, tau, f in zip(series[:, 0], exc.torque_rows, exc.force_rows):
+            true_tau, true_f = sensor.true_by_time[t]
+            assert np.array_equal(true_tau, tau)
+            assert np.array_equal(true_f, f)
+
     def test_ramp_press_never_satisfies_release(self):
         ramp = RampPatch((-0.25, 0.25), (-0.05, 0.25), 0.02,
                          np.radians(15.0), np.pi / 2)
@@ -212,15 +239,18 @@ class TestRunPlacement:
 
 
 class RecordingSensor(ForceTorqueSensor):
-    """Keeps every sampled wrench under the clock reading that follows it."""
+    """Keeps every tick's true and sampled wrench under the clock reading
+    that follows it."""
 
     def __init__(self, config):
         super().__init__(config)
+        self.true_by_time = {}
         self.by_time = {}
 
-    def sample(self, true_wrench):
-        out = super().sample(true_wrench)
-        self.by_time[self.time] = out
+    def sample(self, torque, force):
+        out = super().sample(torque, force)
+        self.true_by_time[self.time] = (torque, force)
+        self.by_time[self.time] = Wrench(*out, frame=FrameId.WRIST)
         return out
 
 

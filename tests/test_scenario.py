@@ -114,6 +114,29 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=r"scenario\.object\.color"):
             Scenario.from_dict(d)
 
+    @pytest.mark.parametrize("section, profile, key", [
+        ("top", {"kind": "flat", "amplitude": 0.01, "wavelength": 0.5}, "amplitude"),
+        ("top", {"kind": "flat", "wavelength": 0.5}, "wavelength"),
+        ("bottom", {"kind": "flat", "curvature_radius": 0.2}, "curvature_radius"),
+    ])
+    def test_profile_keys_the_kind_does_not_read(self, section, profile, key):
+        d = minimal_placement()
+        d["object"][section] = profile
+        with pytest.raises(ScenarioError, match=rf"scenario\.object\.{section}\.{key}: "
+                                                rf"not used by kind flat$"):
+            Scenario.from_dict(d)
+
+    def test_profile_keys_the_kind_reads(self):
+        d = minimal_placement()
+        d["object"]["top"] = {"kind": "undulating", "amplitude": 0.001, "wavelength": 0.02}
+        d["object"]["bottom"] = {"kind": "dome", "curvature_radius": 0.2}
+        obj = Scenario.from_dict(d).obj
+        assert obj["top"] == d["object"]["top"]
+        assert obj["bottom"] == d["object"]["bottom"]
+        d["object"]["bottom"]["radius"] = 0.2
+        with pytest.raises(ScenarioError, match=r"scenario\.object\.bottom\.radius: unknown key"):
+            Scenario.from_dict(d)
+
     def test_unsupported_schema_version(self):
         d = minimal_placement()
         d["schema_version"] = 2
@@ -332,10 +355,10 @@ class TestBuilders:
         true_w = Wrench(np.zeros(3), np.array([0.0, 0.0, -9.81]))
         s1 = build_sensor(scenario, np.random.default_rng(7))
         s2 = build_sensor(scenario, np.random.default_rng(7))
-        r1 = s1.sample(true_w)
-        r2 = s2.sample(true_w)
-        np.testing.assert_array_equal(r1.torque, r2.torque)
-        np.testing.assert_array_equal(r1.force, r2.force)
+        t1, f1 = s1.sample(true_w.torque, true_w.force)
+        t2, f2 = s2.sample(true_w.torque, true_w.force)
+        np.testing.assert_array_equal(t1, t2)
+        np.testing.assert_array_equal(f1, f2)
 
     def test_build_window(self):
         d = minimal_placement()

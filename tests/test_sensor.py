@@ -17,32 +17,66 @@ from ftstack.world import Footprint, HeldObject, World
 HOVER = Wrench((0.0, 0.0, 0.0), (0.0, 0.0, -9.81), frame=FrameId.WRIST)
 
 
+def read(sensor, wrench=HOVER):
+    return sensor.sample(wrench.torque, wrench.force)
+
+
+def reference_sample(config, rng, true_torque, true_force, index):
+    """One tick as the per-tick arithmetic: true + bias + drift * t + noise."""
+    t = index / config.sample_rate
+    n_tau = rng.normal(0.0, config.noise_torque, 3)
+    n_f = rng.normal(0.0, config.noise_force, 3)
+    return (true_torque + np.asarray(config.bias_torque, dtype=float)
+            + np.asarray(config.drift_torque, dtype=float) * t + n_tau,
+            true_force + np.asarray(config.bias_force, dtype=float)
+            + np.asarray(config.drift_force, dtype=float) * t + n_f)
+
+
 class TestSampling:
     def test_same_seed_same_stream(self):
         a = ForceTorqueSensor(SensorConfig(seed=42))
         b = ForceTorqueSensor(SensorConfig(seed=42))
         for _ in range(50):
-            ra, rb = a.sample(HOVER), b.sample(HOVER)
-            np.testing.assert_array_equal(ra.torque, rb.torque)
-            np.testing.assert_array_equal(ra.force, rb.force)
+            (ta, fa), (tb, fb) = read(a), read(b)
+            np.testing.assert_array_equal(ta, tb)
+            np.testing.assert_array_equal(fa, fb)
 
     def test_different_seed_differs(self):
-        a = ForceTorqueSensor(SensorConfig(seed=1)).sample(HOVER)
-        b = ForceTorqueSensor(SensorConfig(seed=2)).sample(HOVER)
-        assert not np.array_equal(a.force, b.force)
+        _, fa = read(ForceTorqueSensor(SensorConfig(seed=1)))
+        _, fb = read(ForceTorqueSensor(SensorConfig(seed=2)))
+        assert not np.array_equal(fa, fb)
 
     def test_zero_noise_is_exact_but_advances_stream(self):
         quiet = SensorConfig(noise_torque=0.0, noise_force=0.0, seed=9)
         s = ForceTorqueSensor(quiet)
-        r = s.sample(HOVER)
-        np.testing.assert_array_equal(r.force, HOVER.force)
-        np.testing.assert_array_equal(r.torque, HOVER.torque)
+        torque, force = read(s)
+        np.testing.assert_array_equal(force, HOVER.force)
+        np.testing.assert_array_equal(torque, HOVER.torque)
         assert s.time == pytest.approx(1 / 25.0)
+
+    @pytest.mark.parametrize("noise", [{"noise_torque": 0.0, "noise_force": 0.0}, {}])
+    def test_matches_the_per_tick_arithmetic_bit_for_bit(self, noise):
+        cfg = SensorConfig(bias_torque=(0.02, -0.01, 0.0), bias_force=(0.5, -0.3, 1.2),
+                           drift_torque=(0.001, 0.0, -0.002),
+                           drift_force=(0.0, 0.1, -0.05), seed=4, **noise)
+        rng = np.random.default_rng(11)
+        sensor = ForceTorqueSensor(cfg, np.random.default_rng(11))
+        true = np.random.default_rng(5).normal(size=(30, 2, 3))
+        true[0] = -0.0  # signed zeros pass through as the arithmetic leaves them
+        for i, (tau, f) in enumerate(true):
+            got = sensor.sample(tau, f)
+            want = reference_sample(cfg, rng, tau, f, i)
+            for g, w in zip(got, want):
+                assert g.shape == (3,)
+                assert np.array_equal(g, w)
+                assert np.array_equal(np.signbit(g), np.signbit(w))
+        assert sensor.time == 30 / cfg.sample_rate
+        assert sensor._rng.bit_generator.state == rng.bit_generator.state
 
     def test_noise_std_matches_config(self):
         # 4000 samples put the sample std within a few percent of sigma
         s = ForceTorqueSensor(SensorConfig(seed=3))
-        readings = np.array([s.sample(HOVER).force for _ in range(4000)])
+        readings = np.array([read(s)[1] for _ in range(4000)])
         std = readings.std(axis=0)
         np.testing.assert_allclose(std, 0.25, rtol=0.05)
 
@@ -51,18 +85,18 @@ class TestSampling:
                            bias_force=(0.5, 0.0, 0.0),
                            drift_force=(0.0, 0.1, 0.0), seed=0)
         s = ForceTorqueSensor(cfg)
-        first = s.sample(HOVER)
-        assert first.force[0] == pytest.approx(0.5)
-        assert first.force[1] == pytest.approx(0.0)  # t = 0 at the first draw
+        _, first = read(s)
+        assert first[0] == pytest.approx(0.5)
+        assert first[1] == pytest.approx(0.0)  # t = 0 at the first draw
         for _ in range(24):
-            s.sample(HOVER)
-        later = s.sample(HOVER)  # sample index 25 -> t = 1 s
-        assert later.force[1] == pytest.approx(0.1)
+            read(s)
+        _, later = read(s)  # sample index 25 -> t = 1 s
+        assert later[1] == pytest.approx(0.1)
 
     def test_clock_is_index_over_rate(self):
         s = ForceTorqueSensor(SensorConfig(sample_rate=50.0))
         for _ in range(10):
-            s.sample(HOVER)
+            read(s)
         assert s.time == pytest.approx(0.2)
 
 
@@ -72,6 +106,22 @@ class TestWindows:
         s = ForceTorqueSensor(SensorConfig(seed=5))
         s.settle_and_average(HOVER, ReadingWindow())
         assert s._samples == 14
+
+    def test_average_matches_the_per_tick_sum_bit_for_bit(self):
+        cfg = SensorConfig(bias_force=(0.5, -0.3, 1.2), drift_torque=(0.001, 0.0, -0.002),
+                           seed=8)
+        rng = np.random.default_rng(8)
+        s = ForceTorqueSensor(cfg)
+        reading = s.settle_and_average(HOVER, ReadingWindow())
+        ticks = [reference_sample(cfg, rng, HOVER.torque, HOVER.force, i) for i in range(14)]
+        acc_tau, acc_f = np.zeros(3), np.zeros(3)
+        for tau, f in ticks[2:]:  # two settle ticks discarded
+            acc_tau += tau
+            acc_f += f
+        assert reading.frame is FrameId.WRIST
+        assert np.array_equal(reading.torque, acc_tau / 12)
+        assert np.array_equal(reading.force, acc_f / 12)
+        assert s._rng.bit_generator.state == rng.bit_generator.state
 
     def test_averaging_shrinks_noise(self):
         cfg = SensorConfig(seed=6)

@@ -191,22 +191,14 @@ def test_rotation_stays_orthonormal_under_composition(seed):
 def test_batched_wrench_transform_matches_one_at_a_time(seed, count):
     rng = np.random.default_rng(seed)
     g = random_transform(rng)
-    wrenches = [Wrench(rng.normal(size=3), 20.0 * rng.normal(size=3)) for _ in range(count)]
-    tau, f = transform_wrenches(g, wrenches)
+    torque = rng.normal(size=(count, 3))
+    force = 20.0 * rng.normal(size=(count, 3))
+    tau, f = transform_wrenches(g, torque, force)
     assert tau.shape == f.shape == (count, 3)
-    for i, w in enumerate(wrenches):
-        one = transform_wrench(g, w)
+    for i in range(count):
+        one = transform_wrench(g, Wrench(torque[i], force[i]))
         assert np.array_equal(tau[i], one.torque)
         assert np.array_equal(f[i], one.force)
-
-
-def test_batched_wrench_transform_checks_frames():
-    g = RigidTransform(np.eye(3), np.ones(3), parent=FrameId.WRIST, child=FrameId.ROCK_COM)
-    ok = Wrench(np.zeros(3), np.ones(3), frame=FrameId.WRIST)
-    bad = Wrench(np.zeros(3), np.ones(3), frame=FrameId.BASE)
-    transform_wrenches(g, [ok, Wrench(np.zeros(3), np.ones(3))])
-    with pytest.raises(FrameMismatch):
-        transform_wrenches(g, [ok, bad])
 
 
 @pytest.mark.parametrize("shape_a, shape_b", [((3,), (3,)), ((200, 3), (3,)),

@@ -57,7 +57,7 @@ class TestDescent:
         # threshold / spring_k of compression below first touch
         world = World([FlatPlane(0.0), Puck((0.0, 0.0), 0.05, 0.04)])
         world.hold(make_disk())
-        contact, tip_z = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
+        contact, tip_z, _, _ = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
         assert tip_z == pytest.approx(0.04 - 10.0 / 1e5 + 0.01, abs=1e-12)
         assert contact.normal_force_magnitude == pytest.approx(10.0)
         assert contact.penetration == pytest.approx(1e-4)
@@ -71,7 +71,7 @@ class TestDescent:
         apex = (0.013, -0.007)  # on the sample grid for a press at (0.01, -0.01)
         world = World([FlatPlane(0.0), SphericalCap(apex, 0.05, 0.15, 0.0486)])
         world.hold(make_disk())
-        contact, _ = world.descend_until_contact((0.01, -0.01), 10.0, 0.1)
+        contact, _, _, _ = world.descend_until_contact((0.01, -0.01), 10.0, 0.1)
         np.testing.assert_allclose(contact.contact_point[:2], apex, atol=1e-12)
         assert contact.contact_point[2] == pytest.approx(0.0486)
 
@@ -79,18 +79,16 @@ class TestDescent:
         apex = (0.0134, -0.0071)
         world = World([FlatPlane(0.0), SphericalCap(apex, 0.05, 0.15, 0.0486)])
         world.hold(make_disk())
-        contact, _ = world.descend_until_contact((0.01, -0.01), 10.0, 0.1)
+        contact, _, _, _ = world.descend_until_contact((0.01, -0.01), 10.0, 0.1)
         err = np.linalg.norm(contact.contact_point[:2] - np.asarray(apex))
         assert err <= world.params.contact_pitch + 1e-12
 
     def test_step_series_reports_force_buildup(self):
         world = World([FlatPlane(0.0), Puck((0.0, 0.0), 0.05, 0.04)])
         world.hold(make_disk())
-        forces = []
-        world.descend_until_contact(
-            (0.0, 0.0), 10.0, 0.1, on_step=lambda w: forces.append(w.force.copy())
-        )
-        fz = np.array([f[2] for f in forces])
+        _, _, torque, force = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
+        assert torque.shape == force.shape == (force.shape[0], 3)
+        fz = force[:, 2]
         weight = -1.0 * 9.81
         assert fz[0] == pytest.approx(weight)       # free descent: gravity only
         assert fz[-1] > weight + 10.0               # stepped past the threshold
@@ -211,28 +209,26 @@ class TestBatchedDescent:
         start = top + world.held.tip_to_bottom + clearance
 
         steps, want_contact, want_z = reference_descent(world, xy, threshold, start)
-        got = []
         if want_contact is None:
-            with pytest.raises(NoContactWithinRange):
-                world.descend_until_contact(xy, threshold, start, on_step=got.append)
+            with pytest.raises(NoContactWithinRange) as raised:
+                world.descend_until_contact(xy, threshold, start)
+            torque, force = raised.value.torque_rows, raised.value.force_rows
         else:
-            contact, tip_z = world.descend_until_contact(xy, threshold, start,
-                                                         on_step=got.append)
+            contact, tip_z, torque, force = world.descend_until_contact(xy, threshold, start)
             assert tip_z == want_z
             for name in ("contact_point", "surface_normal", "contact_patch"):
                 assert np.array_equal(getattr(contact, name), getattr(want_contact, name))
             assert contact.penetration == want_contact.penetration
             assert contact.normal_force_magnitude == want_contact.normal_force_magnitude
-        assert len(got) == len(steps)
-        for w, (tau, f) in zip(got, steps):
-            assert w.frame is FrameId.WRIST
-            assert np.array_equal(w.torque, tau)
-            assert np.array_equal(w.force, f)
+            assert contact.touch_height == want_contact.touch_height
+        assert torque.shape == force.shape == (len(steps), 3)
+        assert np.array_equal(torque, np.array([tau for tau, _ in steps]))
+        assert np.array_equal(force, np.array([f for _, f in steps]))
 
     def test_true_wrist_wrench_matches_the_reference(self):
         world = World(FlatPlane(0.0), params=SimParams(gripper_mass=0.2))
         world.hold(make_disk(com_offset=np.array([0.004, -0.007, 0.002])))
-        contact, tip_z = world.descend_until_contact((0.01, 0.02), 10.0, 0.1)
+        contact, tip_z, _, _ = world.descend_until_contact((0.01, 0.02), 10.0, 0.1)
         tip = np.array([0.01, 0.02, tip_z])
         for c in (None, contact):
             w = world.true_wrist_wrench(tip, c)
@@ -286,7 +282,7 @@ class TestWristWrench:
         hover_tip = np.array([0.0, 0.0, 0.1])
         hover = transform_wrench(g_wr, world.true_wrist_wrench(hover_tip, None))
 
-        contact, tip_z = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
+        contact, tip_z, _, _ = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
         tip = np.array([0.0, 0.0, tip_z])
         press = transform_wrench(g_wr, world.true_wrist_wrench(tip, contact))
 
@@ -301,7 +297,7 @@ class TestStability:
     def press_square_on_flat(self):
         world = World(FlatPlane(0.0))
         world.hold(make_square())
-        contact, tip_z = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
+        contact, tip_z, _, _ = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
         return world, contact, tip_z
 
     def test_patch_support_accepts_interior_com(self):
@@ -319,7 +315,7 @@ class TestStability:
     def test_point_support_uses_distance_slack(self):
         world = World([FlatPlane(0.0), SphericalCap((0.013, -0.007), 0.05, 0.15, 0.0486)])
         world.hold(make_disk())
-        contact, _ = world.descend_until_contact((0.01, -0.01), 10.0, 0.1)
+        contact, _, _, _ = world.descend_until_contact((0.01, -0.01), 10.0, 0.1)
         assert contact.contact_patch.shape[0] < 3
         assert world.stable_if_released((0.013, -0.007), contact)
         assert not world.stable_if_released((0.016, -0.007), contact)
@@ -427,7 +423,7 @@ class TestCollinearSupport:
     def test_square_on_a_ramp_rests_on_one_edge(self):
         world = World(RampPatch((-0.2, 0.2), (-0.2, 0.2), 0.02, np.radians(15.0), np.pi / 2))
         world.hold(make_square())
-        contact, _ = world.descend_until_contact((0.0, 0.0), 10.0, 0.2)
+        contact, _, _, _ = world.descend_until_contact((0.0, 0.0), 10.0, 0.2)
         pts = contact.contact_patch[:, :2]
         assert pts.shape[0] == 101 and np.all(pts[:, 1] == pts[0, 1])
         margin = world.params.stability_margin
@@ -441,7 +437,7 @@ class TestRelease:
     def test_settled_release_updates_terrain_and_inventory(self):
         world = World([FlatPlane(0.0), Puck((0.0, 0.0), 0.05, 0.04)])
         world.hold(make_disk())
-        contact, tip_z = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
+        contact, tip_z, _, _ = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
         out = world.release(np.array([0.0, 0.0, tip_z]), contact)
         assert out.settled
         # rests at first touch, not at the pressed-in depth
@@ -454,10 +450,10 @@ class TestRelease:
     def test_stacking_raises_the_next_touch_height(self):
         world = World([FlatPlane(0.0), Puck((0.0, 0.0), 0.05, 0.04)])
         world.hold(make_disk())
-        contact, tip_z = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
+        contact, tip_z, _, _ = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
         world.release(np.array([0.0, 0.0, tip_z]), contact)
         world.hold(make_disk(radius=0.04))
-        _, tip_z2 = world.descend_until_contact((0.0, 0.0), 10.0, 0.12)
+        _, tip_z2, _, _ = world.descend_until_contact((0.0, 0.0), 10.0, 0.12)
         assert tip_z2 == pytest.approx(0.06 - 1e-4 + 0.01, abs=1e-9)
 
     def test_toppling_release_leaves_terrain_alone(self):
@@ -465,7 +461,7 @@ class TestRelease:
         # contact point, far outside the support slack
         world = World([FlatPlane(0.0), SphericalCap((0.0, 0.0), 0.05, 0.15, 0.0486)])
         world.hold(make_disk())
-        contact, tip_z = world.descend_until_contact((0.03, 0.0), 10.0, 0.1)
+        contact, tip_z, _, _ = world.descend_until_contact((0.03, 0.0), 10.0, 0.1)
         assert np.linalg.norm(contact.contact_point[:2]) < 2e-3
         before = float(world.surface_height(0.0, 0.0))
         out = world.release(np.array([0.03, 0.0, tip_z]), contact)
@@ -480,7 +476,7 @@ class TestRelease:
         world = World(FlatPlane(0.0))
         obj = make_square(top=TopProfile("undulating", amplitude=0.001, wavelength=0.02))
         world.hold(obj)
-        contact, tip_z = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
+        contact, tip_z, _, _ = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
         out = world.release(np.array([0.0, 0.0, tip_z]), contact)
         assert out.settled
         assert out.top_height == pytest.approx(0.02 + 0.001)
@@ -494,7 +490,7 @@ class TestProfiles:
         world = World(FlatPlane(0.0))
         obj = make_disk(bottom=BottomProfile("dome", curvature_radius=0.2))
         world.hold(obj)
-        contact, tip_z = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
+        contact, tip_z, _, _ = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
         np.testing.assert_allclose(contact.contact_point[:2], [0.0, 0.0], atol=1e-9)
         assert tip_z == pytest.approx(0.0 - 1e-4 + 0.01, abs=1e-9)
 
