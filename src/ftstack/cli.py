@@ -3,8 +3,9 @@
 Subcommands mirror the harness entry points: ``run`` executes any scenario,
 ``sweep`` and ``press-check`` insist on their matching families, and
 ``plot-data`` splits a trace file into plot-ready CSVs. Exit code 0 means
-the scenario's embedded thresholds passed (or it had none), 1 means a
-threshold failed, 2 means the inputs were unusable.
+every trial ran and the scenario's embedded thresholds passed (or it had
+none), 1 means a threshold failed or a trial raised, 2 means the inputs
+were unusable.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ from .scenario import (
     build_sensor,
     build_window,
     build_world,
+    evaluate_expect,
     load_scenario,
     sample_start_xy,
 )
@@ -498,94 +499,6 @@ _FAMILIES = {
 }
 
 
-# -- embedded acceptance checks -------------------------------------------------
-
-
-def _check(passed: bool, detail: str) -> dict:
-    return {"passed": bool(passed), "detail": detail}
-
-
-def _evaluate_expect(scenario: Scenario, body: dict) -> dict:
-    e = scenario.expect
-    checks: dict = {}
-    if not e:
-        return checks
-
-    if "min_success_rate" in e:
-        rate = body["success_rate"]
-        checks["min_success_rate"] = _check(
-            rate >= e["min_success_rate"],
-            f"success_rate {rate:.6g} vs required {e['min_success_rate']:.6g}",
-        )
-    if "max_iterations_per_trial" in e:
-        worst = max((t["iterations"] for t in body["per_trial"] if "iterations" in t),
-                    default=0)
-        checks["max_iterations_per_trial"] = _check(
-            worst <= e["max_iterations_per_trial"],
-            f"worst trial used {worst} iterations, limit {e['max_iterations_per_trial']}",
-        )
-    if "all_outcome" in e:
-        outcomes = {t["outcome"] for t in body["per_trial"] if "outcome" in t}
-        ok = outcomes == {e["all_outcome"]} and body.get("errors", 0) == 0
-        checks["all_outcome"] = _check(
-            ok, f"outcomes seen {sorted(outcomes)}, required all {e['all_outcome']}"
-        )
-    if "min_placed" in e:
-        worst = min((t["placed"] for t in body["per_trial"] if "placed" in t), default=0)
-        checks["min_placed"] = _check(
-            worst >= e["min_placed"],
-            f"least placed {worst}, required {e['min_placed']}",
-        )
-    if "oneshot_tolerance" in e:
-        tol = e["oneshot_tolerance"]
-        need = e.get("min_oneshot_rate", 1.0)
-        vals = [t.get("oneshot_com_error") for t in body["per_trial"]
-                if "error" not in t]
-        hits = sum(1 for v in vals if v is not None and v <= tol)
-        rate = hits / len(vals) if vals else 0.0
-        checks["oneshot_tolerance"] = _check(
-            rate >= need,
-            f"{hits}/{len(vals)} first proposals within {tol:g} m (rate {rate:.6g})",
-        )
-    if "max_direction_error_deg" in e:
-        worst = body.get("max_angle_error_deg")
-        ok = worst is not None and worst <= e["max_direction_error_deg"]
-        checks["max_direction_error_deg"] = _check(
-            ok, f"max direction error {worst} deg, limit {e['max_direction_error_deg']}"
-        )
-    if "median_below_deg" in e:
-        cutoff = e.get("at_or_above_offset", 0.0)
-        groups = [g for g in body["by_magnitude"]
-                  if g["magnitude"] >= cutoff and g["median_deg"] is not None]
-        ok = bool(groups) and all(g["median_deg"] < e["median_below_deg"] for g in groups)
-        checks["median_below_deg"] = _check(
-            ok,
-            "medians at offsets >= {:g}: {}".format(
-                cutoff, [round(g["median_deg"], 2) for g in groups]),
-        )
-    if "median_above_deg" in e:
-        cutoff = e.get("at_or_below_offset", float("inf"))
-        groups = [g for g in body["by_magnitude"]
-                  if g["magnitude"] <= cutoff and g["median_deg"] is not None]
-        ok = bool(groups) and all(g["median_deg"] > e["median_above_deg"] for g in groups)
-        checks["median_above_deg"] = _check(
-            ok,
-            "medians at offsets <= {:g}: {}".format(
-                cutoff, [round(g["median_deg"], 2) for g in groups]),
-        )
-    if "monotone_slack_deg" in e:
-        slack = e["monotone_slack_deg"]
-        meds = [g["median_deg"] for g in body["by_magnitude"]
-                if g["median_deg"] is not None]
-        ok = all(b <= a + slack for a, b in zip(meds, meds[1:]))
-        checks["monotone_slack_deg"] = _check(
-            ok,
-            "medians over ascending offsets: {}".format(
-                [round(m, 2) for m in meds]),
-        )
-    return checks
-
-
 # -- artifacts ------------------------------------------------------------------
 
 
@@ -704,15 +617,14 @@ def run_scenario(source, out_dir=None, seed=None, jobs: int = 1) -> dict:
     """Run every trial of a scenario and assemble the report.
 
     ``source`` is a scenario path or a Scenario. Writes report and artifacts
-    under out_dir when given. The report's ``passed`` field reflects the
-    thresholds embedded in the scenario's expect block (vacuously true when
-    the block is absent).
+    under out_dir when given. The report's ``passed`` field is true when no
+    trial raised and every check of the scenario's expect block passed.
     """
     scenario = _as_scenario(source, seed)
     rows = _run_trials(scenario, jobs)
     family = _FAMILIES[scenario.family]
     body = family.aggregate(scenario, rows)
-    checks = _evaluate_expect(scenario, body)
+    checks = evaluate_expect(scenario, body)
     report = {
         "report_version": REPORT_VERSION,
         "scenario": scenario.name,
@@ -721,7 +633,7 @@ def run_scenario(source, out_dir=None, seed=None, jobs: int = 1) -> dict:
         "trials": scenario.trials,
         "results": body,
         "checks": checks,
-        "passed": all(c["passed"] for c in checks.values()),
+        "passed": body["errors"] == 0 and all(c["passed"] for c in checks.values()),
     }
 
     if out_dir is not None:

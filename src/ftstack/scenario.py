@@ -9,6 +9,7 @@ the validated sections into live world, object, sensor, and policy values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -29,25 +30,8 @@ SCHEMA_VERSION = 1
 
 _SURFACE_KINDS = ("flat", "puck", "ramp", "spherical_cap", "height_field")
 
-# family -> the expect keys its report can judge
-_PLACEMENT_EXPECT = ("min_success_rate", "max_iterations_per_trial", "all_outcome",
-                     "oneshot_tolerance", "min_oneshot_rate")
-_FAMILY_EXPECT = {
-    "zero_offset": _PLACEMENT_EXPECT,
-    "offset_recovery": _PLACEMENT_EXPECT,
-    "ramp": _PLACEMENT_EXPECT,
-    "multi_stack": ("min_success_rate", "min_placed"),
-    "finger_press": ("max_direction_error_deg",),
-    "noise_sweep": ("median_below_deg", "at_or_above_offset", "median_above_deg",
-                    "at_or_below_offset", "monotone_slack_deg"),
-}
-_EXPECT_KEYS = tuple(dict.fromkeys(k for keys in _FAMILY_EXPECT.values() for k in keys))
-# qualifier -> the expect key it qualifies, which must be given with it
-_EXPECT_QUALIFIERS = {
-    "min_oneshot_rate": "oneshot_tolerance",
-    "at_or_above_offset": "median_below_deg",
-    "at_or_below_offset": "median_above_deg",
-}
+# the families that place one object; they read the same sections and expect keys
+_PLACEMENT_FAMILIES = ("zero_offset", "offset_recovery", "ramp")
 
 
 class ScenarioError(ValueError):
@@ -429,41 +413,140 @@ def _parse_press(data, path: str) -> dict:
     }
 
 
+def _judge_min_success_rate(e: dict, r: dict):
+    rate = r["success_rate"]
+    return (rate >= e["min_success_rate"],
+            f"success_rate {rate:.6g} vs required {e['min_success_rate']:.6g}")
+
+
+def _judge_max_iterations_per_trial(e: dict, r: dict):
+    worst = max((t["iterations"] for t in r["per_trial"] if "iterations" in t), default=0)
+    return (worst <= e["max_iterations_per_trial"],
+            f"worst trial used {worst} iterations, limit {e['max_iterations_per_trial']}")
+
+
+def _judge_all_outcome(e: dict, r: dict):
+    outcomes = {t["outcome"] for t in r["per_trial"] if "outcome" in t}
+    return (outcomes == {e["all_outcome"]} and r.get("errors", 0) == 0,
+            f"outcomes seen {sorted(outcomes)}, required all {e['all_outcome']}")
+
+
+def _judge_min_placed(e: dict, r: dict):
+    worst = min((t["placed"] for t in r["per_trial"] if "placed" in t), default=0)
+    return worst >= e["min_placed"], f"least placed {worst}, required {e['min_placed']}"
+
+
+def _judge_oneshot_tolerance(e: dict, r: dict):
+    tol = e["oneshot_tolerance"]
+    vals = [t.get("oneshot_com_error") for t in r["per_trial"] if "error" not in t]
+    hits = sum(1 for v in vals if v is not None and v <= tol)
+    rate = hits / len(vals) if vals else 0.0
+    return (rate >= e.get("min_oneshot_rate", 1.0),
+            f"{hits}/{len(vals)} first proposals within {tol:g} m (rate {rate:.6g})")
+
+
+def _judge_max_direction_error_deg(e: dict, r: dict):
+    worst, limit = r.get("max_angle_error_deg"), e["max_direction_error_deg"]
+    return (worst is not None and worst <= limit,
+            f"max direction error {worst} deg, limit {limit}")
+
+
+def _medians(r: dict, keep=lambda magnitude: True) -> list:
+    """The sweep's known medians, by ascending offset, at the offsets kept."""
+    return [g["median_deg"] for g in r["by_magnitude"]
+            if keep(g["magnitude"]) and g["median_deg"] is not None]
+
+
+def _judge_median_below_deg(e: dict, r: dict):
+    cutoff = e.get("at_or_above_offset", 0.0)
+    meds = _medians(r, lambda m: m >= cutoff)
+    return (bool(meds) and all(m < e["median_below_deg"] for m in meds),
+            f"medians at offsets >= {cutoff:g}: {[round(m, 2) for m in meds]}")
+
+
+def _judge_median_above_deg(e: dict, r: dict):
+    cutoff = e.get("at_or_below_offset", float("inf"))
+    meds = _medians(r, lambda m: m <= cutoff)
+    return (bool(meds) and all(m > e["median_above_deg"] for m in meds),
+            f"medians at offsets <= {cutoff:g}: {[round(m, 2) for m in meds]}")
+
+
+def _judge_monotone_slack_deg(e: dict, r: dict):
+    meds = _medians(r)
+    return (all(b <= a + e["monotone_slack_deg"] for a, b in zip(meds, meds[1:])),
+            f"medians over ascending offsets: {[round(m, 2) for m in meds]}")
+
+
+class _ExpectKey(NamedTuple):
+    families: tuple      # the families whose report the key judges
+    check: Callable      # (value, path) -> the validated value
+    qualifies: str | None = None  # a qualifier tunes that key's judge and needs it given
+    judge: Callable | None = None  # (expect, results) -> (passed, detail)
+
+
+def _rate(v, path: str) -> float:
+    return _num(v, path, lo=0.0, hi=1.0)
+
+
+def _at_least_zero(v, path: str) -> float:
+    return _num(v, path, lo=0.0)
+
+
+_OUTCOMES = tuple(o.value for o in PlacementOutcome)
+_SWEEP = ("noise_sweep",)
+
+# expect key -> its record; the order is the canonical expect order and the
+# order of the report's checks
+_EXPECT = {
+    "min_success_rate": _ExpectKey(_PLACEMENT_FAMILIES + ("multi_stack",), _rate,
+                                   judge=_judge_min_success_rate),
+    "min_oneshot_rate": _ExpectKey(_PLACEMENT_FAMILIES, _rate, qualifies="oneshot_tolerance"),
+    "max_iterations_per_trial": _ExpectKey(_PLACEMENT_FAMILIES, lambda v, p: _int(v, p, lo=1),
+                                           judge=_judge_max_iterations_per_trial),
+    "all_outcome": _ExpectKey(_PLACEMENT_FAMILIES, lambda v, p: _choice(v, _OUTCOMES, p),
+                              judge=_judge_all_outcome),
+    "min_placed": _ExpectKey(("multi_stack",), lambda v, p: _int(v, p, lo=0),
+                             judge=_judge_min_placed),
+    "oneshot_tolerance": _ExpectKey(_PLACEMENT_FAMILIES, _at_least_zero,
+                                    judge=_judge_oneshot_tolerance),
+    "max_direction_error_deg": _ExpectKey(("finger_press",), _at_least_zero,
+                                          judge=_judge_max_direction_error_deg),
+    "median_below_deg": _ExpectKey(_SWEEP, _at_least_zero, judge=_judge_median_below_deg),
+    "at_or_above_offset": _ExpectKey(_SWEEP, _at_least_zero, qualifies="median_below_deg"),
+    "median_above_deg": _ExpectKey(_SWEEP, _at_least_zero, judge=_judge_median_above_deg),
+    "at_or_below_offset": _ExpectKey(_SWEEP, _at_least_zero, qualifies="median_above_deg"),
+    "monotone_slack_deg": _ExpectKey(_SWEEP, _at_least_zero, judge=_judge_monotone_slack_deg),
+}
+
+
 def _parse_expect(data, path: str) -> dict:
     d = _mapping(data, path)
-    _check_keys(d, path, (), _EXPECT_KEYS)
-    out = {}
-    for key in ("min_success_rate", "min_oneshot_rate"):
-        if key in d:
-            out[key] = _num(d[key], f"{path}.{key}", lo=0.0, hi=1.0)
-    if "max_iterations_per_trial" in d:
-        out["max_iterations_per_trial"] = _int(d["max_iterations_per_trial"],
-                                               f"{path}.max_iterations_per_trial", lo=1)
-    if "all_outcome" in d:
-        out["all_outcome"] = _choice(d["all_outcome"],
-                                     tuple(o.value for o in PlacementOutcome),
-                                     f"{path}.all_outcome")
-    if "min_placed" in d:
-        out["min_placed"] = _int(d["min_placed"], f"{path}.min_placed", lo=0)
-    for key in ("oneshot_tolerance", "max_direction_error_deg", "median_below_deg",
-                "at_or_above_offset", "median_above_deg", "at_or_below_offset",
-                "monotone_slack_deg"):
-        if key in d:
-            out[key] = _num(d[key], f"{path}.{key}", lo=0.0)
-    return out
+    _check_keys(d, path, (), tuple(_EXPECT))
+    return {key: row.check(d[key], f"{path}.{key}") for key, row in _EXPECT.items() if key in d}
 
 
 def _check_expect(family: str, sections: dict) -> None:
     """Reject expect keys that the family's report cannot judge."""
     expect = sections["expect"]
     for key in expect:
-        if key not in _FAMILY_EXPECT[family]:
+        if family not in _EXPECT[key].families:
             _fail(f"scenario.expect.{key}", f"not checked for family {family}")
-    for qualifier, key in _EXPECT_QUALIFIERS.items():
-        if qualifier in expect and key not in expect:
-            _fail(f"scenario.expect.{qualifier}", f"qualifies {key}, which is not given")
+    for key in expect:
+        qualified = _EXPECT[key].qualifies
+        if qualified is not None and qualified not in expect:
+            _fail(f"scenario.expect.{key}", f"qualifies {qualified}, which is not given")
     if "oneshot_tolerance" in expect and sections["placement"]["stable_xy"] is None:
         _fail("scenario.expect.oneshot_tolerance", "needs scenario.placement.stable_xy")
+
+
+def evaluate_expect(scenario: Scenario, results: dict) -> dict:
+    """The report's checks: each judged expect key's verdict on the results."""
+    checks = {}
+    for key, row in _EXPECT.items():
+        if key in scenario.expect and row.judge is not None:
+            passed, detail = row.judge(scenario.expect, results)
+            checks[key] = {"passed": bool(passed), "detail": detail}
+    return checks
 
 
 _SECTION_PARSERS = {
@@ -485,9 +568,7 @@ _SECTION_PARSERS = {
 _COMMON_SECTIONS = dict.fromkeys(("sensor", "window", "policy", "expect"), False)
 _PLACEMENT_SECTIONS = {"world": True, "object": True, "placement": False}
 _FAMILY_SECTIONS = {
-    "zero_offset": _PLACEMENT_SECTIONS,
-    "offset_recovery": _PLACEMENT_SECTIONS,
-    "ramp": _PLACEMENT_SECTIONS,
+    **dict.fromkeys(_PLACEMENT_FAMILIES, _PLACEMENT_SECTIONS),
     "multi_stack": {"world": True, "object": True, "stack": True},
     "finger_press": {"press": True},
     "noise_sweep": {"world": True, "object": True, "sweep": True},
@@ -546,6 +627,11 @@ class Scenario:
                 value = {}
             sections[key] = _SECTION_PARSERS[key](value, f"scenario.{key}")
 
+        # the sensor's own expression, so a window it would refuse fails here
+        average, rate = sections["window"]["average_time"], sections["sensor"]["sample_rate"]
+        if int(np.floor(average * rate)) < 1:
+            _fail("scenario.window.average_time",
+                  f"window of {average} s yields no samples at {rate} Hz")
         _check_expect(family, sections)
         sweep = sections.get("sweep")
         if sweep is not None:
@@ -675,17 +761,13 @@ def build_object(scenario: Scenario, rng: np.random.Generator) -> HeldObject:
         com_offset = np.array([xy[0], xy[1], 0.0])
     else:
         com_offset = np.asarray(cfg["com_offset"], dtype=float)
-    bottom = cfg["bottom"]
-    top = cfg["top"]
     return HeldObject(
         mass=cfg["mass"],
         footprint=Footprint(cfg["footprint"]["kind"], cfg["footprint"]["size"]),
         thickness=cfg["thickness"],
         com_offset=com_offset,
-        bottom=(BottomProfile("dome", bottom["curvature_radius"])
-                if bottom["kind"] == "dome" else BottomProfile()),
-        top=(TopProfile("undulating", top["amplitude"], top["wavelength"])
-             if top["kind"] == "undulating" else TopProfile()),
+        bottom=BottomProfile(**cfg["bottom"]),
+        top=TopProfile(**cfg["top"]),
         tip_to_bottom=cfg["tip_to_bottom"],
     )
 

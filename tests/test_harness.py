@@ -151,6 +151,17 @@ class TestReports:
         assert not report["checks"]["all_outcome"]["passed"]
         assert not report["passed"]
 
+    def test_errored_trials_fail_the_report(self):
+        # every trial starts inside the puck and raises; the iteration check
+        # alone sees no trial over its limit
+        scenario = tiny_placement(trials=2, placement={"hover_tip_z": 0.03},
+                                  expect={"max_iterations_per_trial": 5})
+        report = run_scenario(scenario)
+        assert report["results"]["errors"] == 2
+        assert report["checks"]["max_iterations_per_trial"] == {
+            "passed": True, "detail": "worst trial used 0 iterations, limit 5"}
+        assert not report["passed"]
+
     def test_seed_override_changes_sampled_geometry(self):
         base = {
             "object": dict(DISK_OBJECT,
@@ -342,6 +353,14 @@ class TestCli:
         code = main(["run", str(path)])
         out = capsys.readouterr().out
         assert code == 1
+        assert "result: FAIL" in out
+
+    def test_errored_trial_exit_one(self, tmp_path, capsys):
+        scenario = tiny_placement(trials=1, placement={"hover_tip_z": 0.03}, expect=None)
+        code = main(["run", str(self.scenario_file(tmp_path, scenario))])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "trial errors: 1" in out
         assert "result: FAIL" in out
 
     def test_unusable_inputs_exit_two(self, tmp_path, capsys):

@@ -11,7 +11,8 @@ from ftstack.scenario import (
     FAMILIES,
     Scenario,
     ScenarioError,
-    _FAMILY_EXPECT,
+    _EXPECT,
+    evaluate_expect,
     _SIM_PARAM_BOUNDS,
     build_object,
     build_policy,
@@ -23,7 +24,7 @@ from ftstack.scenario import (
     save_scenario,
 )
 from ftstack.spatial import Wrench
-from ftstack.world import SimParams, World
+from ftstack.world import BottomProfile, SimParams, TopProfile, World
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -257,8 +258,25 @@ class TestValidation:
         d["placement"] = {"stable_xy": [0.0, 0.0]}
         assert Scenario.from_dict(d).expect == {"oneshot_tolerance": 0.01}
 
-    def test_expect_table_covers_every_family(self):
-        assert set(_FAMILY_EXPECT) == set(FAMILIES)
+    def test_expect_table_is_consistent(self):
+        assert {f for row in _EXPECT.values() for f in row.families} == set(FAMILIES)
+        for key, row in _EXPECT.items():
+            if row.qualifies is None:
+                assert row.judge is not None, key
+            else:
+                qualified = _EXPECT[row.qualifies]
+                assert qualified.qualifies is None and qualified.judge is not None, key
+                assert qualified.families == row.families, key
+
+    @pytest.mark.parametrize("make", [minimal_placement, minimal_press])
+    def test_window_without_samples(self, make):
+        d = make()
+        d["window"] = {"average_time": 0.01}
+        with pytest.raises(ScenarioError, match=r"^scenario\.window\.average_time: window of "
+                                                r"0\.01 s yields no samples at 25\.0 Hz$"):
+            Scenario.from_dict(d)
+        d["sensor"] = {"sample_rate": 100.0}
+        assert Scenario.from_dict(d).window["average_time"] == 0.01
 
     def test_com_offset_and_sampler_are_exclusive(self):
         d = minimal_placement()
@@ -331,6 +349,17 @@ class TestBuilders:
             assert axes_used == 1
             assert 0.03 <= np.linalg.norm(off[:2]) <= 0.05
 
+    def test_build_object_profiles(self):
+        d = minimal_placement()
+        scenario = Scenario.from_dict(d)
+        obj = build_object(scenario, np.random.default_rng(0))
+        assert (obj.bottom, obj.top) == (BottomProfile(), TopProfile())
+        d["object"]["top"] = {"kind": "undulating", "amplitude": 0.001}
+        d["object"]["bottom"] = {"kind": "dome", "curvature_radius": 0.2}
+        obj = build_object(Scenario.from_dict(d), np.random.default_rng(0))
+        assert obj.bottom == BottomProfile("dome", 0.2)
+        assert obj.top == TopProfile("undulating", 0.001, 0.02)
+
     def test_build_object_fixed_offset(self):
         d = minimal_placement()
         d["object"]["com_offset"] = [0.01, -0.02, 0.0]
@@ -366,3 +395,87 @@ class TestBuilders:
         window = build_window(Scenario.from_dict(d))
         assert window.settle_time == 0.2
         assert window.average_time == 0.4
+
+
+def _trials(key, values) -> list:
+    return [{"trial": i, key: v} for i, v in enumerate(values)]
+
+
+def _by_magnitude(pairs) -> dict:
+    return {"errors": 0, "by_magnitude": [{"magnitude": m, "median_deg": d} for m, d in pairs]}
+
+
+SWEEP_MEDIANS = [(0.005, 80.0), (0.01, 12.3456), (0.02, None), (0.03, 5.0)]
+
+
+class TestExpectJudges:
+    """Each judge on a hand-built results body: verdict and detail text."""
+
+    @pytest.mark.parametrize("expect, results, passed, detail", [
+        ({"min_success_rate": 0.5}, {"errors": 0, "success_rate": 0.5},
+         True, "success_rate 0.5 vs required 0.5"),
+        ({"min_success_rate": 0.5}, {"errors": 0, "success_rate": 0.25},
+         False, "success_rate 0.25 vs required 0.5"),
+        ({"max_iterations_per_trial": 3},
+         {"errors": 1, "per_trial": _trials("iterations", [2, 3]) + [{"trial": 2, "error": "e"}]},
+         True, "worst trial used 3 iterations, limit 3"),
+        ({"max_iterations_per_trial": 3},
+         {"errors": 0, "per_trial": _trials("iterations", [4, 1])},
+         False, "worst trial used 4 iterations, limit 3"),
+        ({"all_outcome": "released_stable"},
+         {"errors": 0, "per_trial": _trials("outcome", ["released_stable"] * 2)},
+         True, "outcomes seen ['released_stable'], required all released_stable"),
+        ({"all_outcome": "released_stable"},
+         {"errors": 0, "per_trial": _trials("outcome", ["released_stable", "max_iterations"])},
+         False, "outcomes seen ['max_iterations', 'released_stable'], "
+                "required all released_stable"),
+        ({"all_outcome": "released_stable"},
+         {"errors": 1, "per_trial": _trials("outcome", ["released_stable"])
+          + [{"trial": 1, "error": "e"}]},
+         False, "outcomes seen ['released_stable'], required all released_stable"),
+        ({"min_placed": 3}, {"errors": 0, "per_trial": _trials("placed", [4, 3])},
+         True, "least placed 3, required 3"),
+        ({"min_placed": 3}, {"errors": 0, "per_trial": _trials("placed", [2, 4])},
+         False, "least placed 2, required 3"),
+        ({"oneshot_tolerance": 0.005, "min_oneshot_rate": 0.5},
+         {"errors": 1, "per_trial": _trials("oneshot_com_error", [0.001, 0.004, None])
+          + [{"trial": 3, "error": "e"}]},
+         True, "2/3 first proposals within 0.005 m (rate 0.666667)"),
+        ({"oneshot_tolerance": 0.005, "min_oneshot_rate": 0.5},
+         {"errors": 0, "per_trial": _trials("oneshot_com_error", [0.001, 0.01, None])},
+         False, "1/3 first proposals within 0.005 m (rate 0.333333)"),
+        ({"oneshot_tolerance": 0.005},
+         {"errors": 0, "per_trial": _trials("oneshot_com_error", [0.001, 0.004, 0.006])},
+         False, "2/3 first proposals within 0.005 m (rate 0.666667)"),
+        ({"max_direction_error_deg": 5.0}, {"errors": 0, "max_angle_error_deg": 4.5},
+         True, "max direction error 4.5 deg, limit 5.0"),
+        ({"max_direction_error_deg": 5.0}, {"errors": 0, "max_angle_error_deg": 5.5},
+         False, "max direction error 5.5 deg, limit 5.0"),
+        ({"max_direction_error_deg": 5.0}, {"errors": 0, "max_angle_error_deg": None},
+         False, "max direction error None deg, limit 5.0"),
+        ({"median_below_deg": 30.0, "at_or_above_offset": 0.01}, _by_magnitude(SWEEP_MEDIANS),
+         True, "medians at offsets >= 0.01: [12.35, 5.0]"),
+        ({"median_below_deg": 30.0}, _by_magnitude(SWEEP_MEDIANS),
+         False, "medians at offsets >= 0: [80.0, 12.35, 5.0]"),
+        ({"median_below_deg": 30.0}, _by_magnitude([(0.01, None)]),
+         False, "medians at offsets >= 0: []"),
+        ({"median_above_deg": 60.0, "at_or_below_offset": 0.005}, _by_magnitude(SWEEP_MEDIANS),
+         True, "medians at offsets <= 0.005: [80.0]"),
+        ({"median_above_deg": 60.0}, _by_magnitude(SWEEP_MEDIANS),
+         False, "medians at offsets <= inf: [80.0, 12.35, 5.0]"),
+        ({"monotone_slack_deg": 2.0}, _by_magnitude([(0.01, 80.0), (0.02, 40.0), (0.03, None),
+                                                     (0.04, 41.5), (0.05, 10.0)]),
+         True, "medians over ascending offsets: [80.0, 40.0, 41.5, 10.0]"),
+        ({"monotone_slack_deg": 2.0}, _by_magnitude([(0.01, 80.0), (0.02, 40.0),
+                                                     (0.03, 42.125)]),
+         False, "medians over ascending offsets: [80.0, 40.0, 42.12]"),
+    ])
+    def test_judge(self, expect, results, passed, detail):
+        scenario = dataclasses.replace(Scenario.from_dict(minimal_placement()), expect=expect)
+        key = next(k for k in expect if _EXPECT[k].qualifies is None)
+        assert evaluate_expect(scenario, results) == {
+            key: {"passed": passed, "detail": detail}}
+
+    def test_no_expect_block_judges_nothing(self):
+        scenario = Scenario.from_dict(minimal_placement())
+        assert evaluate_expect(scenario, {"errors": 0, "success_rate": 0.0}) == {}
