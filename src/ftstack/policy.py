@@ -15,6 +15,7 @@ makes the true center of mass, not the gripper tip, end up over the contact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -102,18 +103,20 @@ class PlacementTrace:
 
 @dataclass(frozen=True, eq=False)
 class Calibration:
-    """Hover baseline and flat-press reference of the held object.
+    """Hover baseline and flat-press torque reference of the held object.
 
-    Both are settled wrist-frame readings, converted to the assumed-COM frame
-    on use; they carry the same constant sensor bias, which later
-    subtractions cancel. Only ``calibrate_for_held`` builds one, after both
-    phases have run.
+    Both come from settled readings taken to the assumed-COM frame: the
+    hover wrench, and the flat-press torque minus the hover torque. The
+    readings carry the same constant sensor bias, which later subtractions
+    cancel. Only ``calibrate_for_held`` builds one, after both phases have
+    run.
     """
 
-    hover_baseline: Wrench
-    flat_reference: Wrench
+    hover: Wrench                 # assumed-COM frame
+    torque_reference: np.ndarray  # flat-press torque minus hover torque
 
 
+@functools.lru_cache(maxsize=8)
 def com_frame_transform(wrist_lift: float) -> RigidTransform:
     """Sensor origin to assumed-COM frame; the assumed COM is the gripper tip."""
     return RigidTransform.from_translation(
@@ -178,7 +181,8 @@ def calibrate_for_held(world: World, sensor: ForceTorqueSensor, config: PolicyCo
 
     Hover in free space for the gravity baseline, then press on known-flat
     ground for the bearing-point reference. A hover reading that shows no
-    hanging weight raises ValueError before the flat press starts.
+    hanging weight raises ValueError before the flat press starts. The
+    press's stepped poses are not read, so no wrist rows are made for them.
     """
     xy = np.asarray(calibration_xy, dtype=float)
     hover_tip = np.array([xy[0], xy[1], float(hover_tip_z)])
@@ -194,7 +198,10 @@ def calibrate_for_held(world: World, sensor: ForceTorqueSensor, config: PolicyCo
     )
     press_tip = np.array([xy[0], xy[1], tip_z])
     flat = settle_reading_at(world, sensor, window, press_tip, contact)
-    return Calibration(hover_baseline=hover, flat_reference=flat)
+    g_wr = com_frame_transform(world.params.wrist_lift)
+    hover_com = transform_wrench(g_wr, hover)
+    flat_com = transform_wrench(g_wr, flat)
+    return Calibration(hover=hover_com, torque_reference=flat_com.torque - hover_com.torque)
 
 
 def press_and_estimate(world: World, sensor: ForceTorqueSensor,
@@ -217,16 +224,14 @@ def _settle_and_estimate(world: World, sensor: ForceTorqueSensor,
     tip = np.array([xy[0], xy[1], tip_z])
     reading = transform_wrench(g_wr, settle_reading_at(world, sensor, window, tip, contact))
 
-    hover_com = transform_wrench(g_wr, calibration.hover_baseline)
-    flat_com = transform_wrench(g_wr, calibration.flat_reference)
-    tau_ref = flat_com.torque - hover_com.torque
+    hover = calibration.hover
     residual = Wrench(
-        reading.torque - hover_com.torque - tau_ref,
+        reading.torque - hover.torque - calibration.torque_reference,
         reading.force,
         frame=reading.frame,
     )
     try:
-        estimate = estimate_contact(residual, hover_com.force, force_floor=config.force_floor)
+        estimate = estimate_contact(residual, hover.force, force_floor=config.force_floor)
         degenerate = False
     except DegenerateNormalForce:
         estimate = None
@@ -253,7 +258,6 @@ def run_placement(world: World, sensor: ForceTorqueSensor,
     if window is None:
         window = ReadingWindow()
     g_wr = com_frame_transform(world.params.wrist_lift)
-    hover = transform_wrench(g_wr, calibration.hover_baseline)
 
     xy = clamp_to_workspace(start_xy, config.workspace_limit)
     ceiling = float(start_tip_z)
@@ -263,17 +267,19 @@ def run_placement(world: World, sensor: ForceTorqueSensor,
 
     for index in range(config.max_iterations):
         try:
-            contact, tip_z, *rows = world.descend_until_contact(
+            contact, tip_z, tips, forces = world.descend_until_contact(
                 xy, config.resistance_threshold, approach_z
             )
         except NoContactWithinRange as exc:
-            series.append(_descent_rows(g_wr, hover, sensor, exc.torque_rows, exc.force_rows))
+            rows = world.wrist_wrench_rows(exc.tips, exc.forces, None)
+            series.append(_descent_rows(g_wr, calibration.hover, sensor, *rows))
             return PlacementTrace(
                 outcome=PlacementOutcome.NO_CONTACT,
                 iterations=tuple(records),
                 descent_series=tuple(series),
             )
-        series.append(_descent_rows(g_wr, hover, sensor, *rows))
+        rows = world.wrist_wrench_rows(tips, forces, contact)
+        series.append(_descent_rows(g_wr, calibration.hover, sensor, *rows))
         press = _settle_and_estimate(world, sensor, calibration, config, window,
                                      xy, contact, tip_z)
 

@@ -152,7 +152,12 @@ class HeightField:
 
     Cells holding NO_SURFACE are empty; any empty corner makes the
     interpolated height NO_SURFACE, so stamped regions are conservatively
-    shrunk by up to one cell at their edges.
+    shrunk by up to one cell at their edges. The material box is the
+    inclusive index range ``(iy0, iy1, ix0, ix1)`` that holds every finite
+    cell, None while there is none; a query none of whose cells can have all
+    four corners inside it answers "empty" without a gather. It is set from
+    the given values and grown by ``_stamp``, so ``values`` is written only
+    through the stamps.
     """
 
     def __init__(self, origin: tuple[float, float], pitch: float, values: np.ndarray):
@@ -163,8 +168,7 @@ class HeightField:
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-D grid indexed [iy, ix]")
-        # while no cell holds material every query answers "empty"; _stamp sets it
-        self._has_material = bool(np.isfinite(self.values).any())
+        self._box = _index_box(np.isfinite(self.values))
 
     @classmethod
     def empty(cls, x_range, y_range, pitch: float) -> "HeightField":
@@ -182,8 +186,8 @@ class HeightField:
         ix = np.floor(fx).astype(int)
         iy = np.floor(fy).astype(int)
         valid = (ix >= 0) & (ix < nx - 1) & (iy >= 0) & (iy < ny - 1)
-        ixc = np.clip(ix, 0, nx - 2)
-        iyc = np.clip(iy, 0, ny - 2)
+        ixc = np.minimum(np.maximum(ix, 0), nx - 2)
+        iyc = np.minimum(np.maximum(iy, 0), ny - 2)
         # one flat index per query point: a single 1-D gather per corner;
         # ravel follows the logical [iy, ix] order whatever the memory layout
         flat = self.values.ravel()
@@ -199,9 +203,24 @@ class HeightField:
         ty = fy - iy
         return v00, v10, v01, v11, tx, ty, finite
 
+    def _may_reach_material(self, x, y) -> bool:
+        """False when no query point's cell has all four corners in the box.
+
+        A cell's corners ix and ix + 1 lie in [ix0, ix1] exactly when its
+        fractional index lies in [ix0, ix1); the index map is monotone, so
+        the extreme coordinates decide for every point. NaN reads as "may".
+        """
+        if self._box is None or x.size == 0 or y.size == 0:
+            return False
+        iy0, iy1, ix0, ix1 = self._box
+        fx_lo, fy_lo = self._fractional_index(x.min(), y.min())
+        fx_hi, fy_hi = self._fractional_index(x.max(), y.max())
+        return not (fx_hi < ix0 or fx_lo >= ix1 or fy_hi < iy0 or fy_lo >= iy1)
+
     def height(self, x, y):
-        if not self._has_material:
-            return np.full(np.broadcast(_arr(x), _arr(y)).shape, NO_SURFACE)
+        x, y = _arr(x), _arr(y)
+        if not self._may_reach_material(x, y):
+            return np.full(np.broadcast(x, y).shape, NO_SURFACE)
         fx, fy = self._fractional_index(x, y)
         v00, v10, v01, v11, tx, ty, finite = self._corners(fx, fy)
         # empty corners are masked out below; zero them first so the blend
@@ -216,8 +235,9 @@ class HeightField:
         return np.where(finite, h, NO_SURFACE)
 
     def grad(self, x, y):
-        if not self._has_material:
-            shape = np.broadcast(_arr(x), _arr(y)).shape
+        x, y = _arr(x), _arr(y)
+        if not self._may_reach_material(x, y):
+            shape = np.broadcast(x, y).shape
             return np.zeros(shape), np.zeros(shape)
         fx, fy = self._fractional_index(x, y)
         v00, v10, v01, v11, tx, ty, finite = self._corners(fx, fy)
@@ -262,7 +282,21 @@ class HeightField:
         window[mask] = np.where(
             np.isfinite(current), np.maximum(current, new), new
         )
-        self._has_material = True
+        r0, r1, c0, c1 = _index_box(mask)
+        box = (iy0 + r0, iy0 + r1, ix0 + c0, ix0 + c1)
+        if self._box is not None:
+            box = (min(box[0], self._box[0]), max(box[1], self._box[1]),
+                   min(box[2], self._box[2]), max(box[3], self._box[3]))
+        self._box = box
+
+
+def _index_box(mask: np.ndarray):
+    """Inclusive (iy0, iy1, ix0, ix1) box of a 2-D mask's true cells, or None."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    return int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1])
 
 
 def _index_window(offset: float, reach: float, pitch: float, n: int) -> tuple[int, int]:
@@ -281,8 +315,10 @@ class LayeredSurface:
     def height(self, x, y):
         if not self.layers:
             raise ValueError("LayeredSurface needs at least one layer")
-        heights = [layer.height(x, y) for layer in self.layers]
-        return np.maximum.reduce(heights)
+        h = self.layers[0].height(x, y)
+        for layer in self.layers[1:]:
+            h = np.maximum(h, layer.height(x, y))
+        return h
 
     def active_layer(self, x, y) -> int:
         """Index of the layer supplying the composite height at one point."""

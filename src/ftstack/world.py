@@ -25,12 +25,12 @@ from .surfaces import NO_SURFACE, HeightField, LayeredSurface
 
 class NoContactWithinRange(RuntimeError):
     """Descent exhausted its height budget without meeting resistance; carries
-    the stepped poses' wrist-wrench rows, as a descent with contact returns them."""
+    the stepped poses and spring forces, as a descent with contact returns them."""
 
-    def __init__(self, message: str, torque_rows: np.ndarray, force_rows: np.ndarray):
+    def __init__(self, message: str, tips: np.ndarray, forces: np.ndarray):
         super().__init__(message)
-        self.torque_rows = torque_rows
-        self.force_rows = force_rows
+        self.tips = tips
+        self.forces = forces
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,18 @@ class Footprint:
             raise ValueError("footprint size must be positive")
 
     def sample_offsets(self, pitch: float) -> np.ndarray:
-        return _footprint_offsets(self.kind, self.size, pitch)
+        """(K, 2) sample offsets, rows in (x, y) order."""
+        return _footprint_offsets(self.kind, self.size, pitch).T
 
 
 @functools.lru_cache(maxsize=64)
 def _footprint_offsets(kind: str, size: float, pitch: float) -> np.ndarray:
-    """Interior grid plus an exact boundary ring, as (K, 2) offsets."""
+    """Interior grid plus an exact boundary ring, as a (2, K) array: the x and
+    the y offsets, each contiguous, with samples in (x, y) order.
+
+    ``np.unique`` sorts the rows; rounding to 1e-12 keeps distinct offsets
+    far enough apart that a shift by the footprint's center keeps that order.
+    """
     n = int(np.floor(size / pitch))
     axis = np.arange(-n, n + 1) * pitch
     gx, gy = np.meshgrid(axis, axis)
@@ -75,7 +81,7 @@ def _footprint_offsets(kind: str, size: float, pitch: float) -> np.ndarray:
             ]
         )
         pts = np.vstack([pts, border])
-    out = np.unique(np.round(pts, 12), axis=0)
+    out = np.ascontiguousarray(np.unique(np.round(pts, 12), axis=0).T)
     out.setflags(write=False)
     return out
 
@@ -227,19 +233,25 @@ class World:
         return self.held
 
     def _touch_profile(self, xy):
-        """Per-sample bottom-face heights at first touch, plus sample points."""
+        """Per-sample bottom-face heights at first touch, the (2, K) x and y
+        rows of the sample points, and the terrain heights under them."""
         obj = self._require_held()
-        offsets = obj.footprint.sample_offsets(self.params.contact_pitch)
+        fp = obj.footprint
+        offsets = _footprint_offsets(fp.kind, fp.size, self.params.contact_pitch)
         center = np.asarray(xy, dtype=float) + obj.com_offset[:2]
-        pts = offsets + center
-        tower = self.surface_height(pts[:, 0], pts[:, 1])
-        touch = tower - obj.bottom.clearance(offsets[:, 0], offsets[:, 1])
+        pts = offsets + center[:, None]
+        tower = self.surface_height(pts[0], pts[1])
+        touch = tower - obj.bottom.clearance(offsets[0], offsets[1])
         return touch, pts, tower
 
     def _contact_at(self, touch, pts, tower, force_magnitude, penetration) -> ContactResult:
         z_touch = np.max(touch)
-        tie = touch >= z_touch - self.params.patch_tie_tol
-        patch = np.column_stack([pts[tie], tower[tie]])
+        tie = np.flatnonzero(touch >= z_touch - self.params.patch_tie_tol)
+        # rows keep the footprint's (x, y) order, which _column_extremes relies on
+        patch = np.empty((tie.size, 3))
+        patch[:, 0] = pts[0].take(tie)
+        patch[:, 1] = pts[1].take(tie)
+        patch[:, 2] = tower.take(tie)
         if patch.shape[0] > 1:
             app = patch.mean(axis=0)
         else:
@@ -259,12 +271,12 @@ class World:
 
         Steps down by descent_step until the spring force meets
         resistance_threshold (detection), then settles at exactly the
-        threshold compression, like a force-servo halt. All stepped poses,
-        and their true wrist wrenches, are computed in one vectorized pass.
-        Returns ``(contact, tip_z, torque_rows, force_rows)``: the rows are
-        the (N, 3) wrist-frame torque and force of each stepped pose in
-        order, the contact-approach time series. Raises NoContactWithinRange,
-        carrying those rows, when the bottom face passes the descent floor
+        threshold compression, like a force-servo halt. All stepped poses
+        are computed in one vectorized pass. Returns ``(contact, tip_z, tips,
+        forces)``: the (N, 3) tip poses of the steps in order and their (N,)
+        spring-force magnitudes, which ``wrist_wrench_rows`` turns into the
+        contact-approach time series. Raises NoContactWithinRange, carrying
+        the poses and forces, when the bottom face passes the descent floor
         untouched.
         """
         obj = self._require_held()
@@ -313,21 +325,15 @@ class World:
         tips = np.empty((last + 1, 3))
         tips[:, :2] = xy
         tips[:, 2] = z_bottom[: last + 1] + obj.tip_to_bottom
-        f_steps = force[: last + 1]
-        touching = f_steps > 0.0
-        if touching.any():
-            fc = f_steps[touching, None] * contact.surface_normal
-            tau, f = self._wrist_wrench_rows(tips, contact.contact_point, fc, touching)
-        else:
-            tau, f = self._wrist_wrench_rows(tips)
+        forces = force[: last + 1]
         if not detected[last]:
             raise NoContactWithinRange(
                 f"no resistance above the floor {floor} m at "
                 f"xy ({xy[0]:.3f}, {xy[1]:.3f})",
-                tau, f,
+                tips, forces,
             )
         z_stop = z_touch - pen_target
-        return contact, float(z_stop + obj.tip_to_bottom), tau, f
+        return contact, float(z_stop + obj.tip_to_bottom), tips, forces
 
     # -- wrench synthesis ---------------------------------------------------
 
@@ -339,18 +345,16 @@ class World:
         provides through the sensor.
         """
         tips = np.asarray(tip_pose, dtype=float)[None, :]
-        if contact is None:
-            tau, f = self._wrist_wrench_rows(tips)
-        else:
-            tau, f = self._wrist_wrench_rows(tips, contact.contact_point, contact.force[None, :])
+        forces = np.array([0.0 if contact is None else contact.normal_force_magnitude])
+        tau, f = self.wrist_wrench_rows(tips, forces, contact)
         return Wrench(tau[0], f[0], frame=FrameId.WRIST)
 
-    def _wrist_wrench_rows(self, tips, contact_point=None, contact_force=None,
-                           touching=slice(None)):
+    def wrist_wrench_rows(self, tips, forces, contact: ContactResult | None):
         """Torque and force rows of the true wrist wrench at (N, 3) tip poses.
 
-        ``contact_force`` holds one row per pose selected by ``touching``;
-        those poses add the contact wrench applied at ``contact_point``.
+        ``forces`` holds each pose's spring-force magnitude; a pose with a
+        positive one adds that force along the contact normal, applied at
+        the contact point.
         """
         obj = self._require_held()
         wrist = tips + np.array([0.0, 0.0, self.params.wrist_lift])
@@ -365,9 +369,11 @@ class World:
             f_grip = np.array([0.0, 0.0, -self.params.gripper_mass * g])
             tau += cross(tips - wrist, f_grip)
             f += f_grip
-        if contact_force is not None:
-            tau[touching] += cross(contact_point - wrist[touching], contact_force)
-            f[touching] += contact_force
+        touching = forces > 0.0
+        if touching.any():
+            fc = forces[touching, None] * contact.surface_normal
+            tau[touching] += cross(contact.contact_point - wrist[touching], fc)
+            f[touching] += fc
         return tau, f
 
     # -- release ------------------------------------------------------------
@@ -433,12 +439,16 @@ def _column_extremes(pts: np.ndarray) -> np.ndarray:
 
     Any other point lies on the segment between its column's two extremes,
     so these rows span the convex hull of ``pts`` and hold all its vertices.
+    Rows already in (x, y) order, as ``_contact_at`` gives them, skip the
+    sort; it is stable, so it would leave them as they are.
     """
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    xs = pts[order, 0]
+    xs, ys = pts[:, 0], pts[:, 1]
+    if not np.all((xs[1:] > xs[:-1]) | ((xs[1:] == xs[:-1]) & (ys[1:] >= ys[:-1]))):
+        pts = pts[np.lexsort((ys, xs))]
+        xs = pts[:, 0]
     new_column = xs[1:] != xs[:-1]
     keep = np.concatenate([[True], new_column]) | np.concatenate([new_column, [True]])
-    return pts[order[keep]]
+    return pts[keep]
 
 
 def _distance_to_point_set(p: np.ndarray, pts: np.ndarray) -> float:

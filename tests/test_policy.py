@@ -88,11 +88,14 @@ class TestCalibration:
         config = PolicyConfig()
         state = calibrated(world, quiet_sensor(), config)
         assert isinstance(state, Calibration)
-        np.testing.assert_allclose(state.hover_baseline.force, [0, 0, -9.81], atol=1e-9)
-        np.testing.assert_allclose(
-            state.flat_reference.force, [0, 0, -9.81 + 10.0], atol=1e-9
-        )
-        assert state.hover_baseline.frame is FrameId.WRIST
+        np.testing.assert_allclose(state.hover.force, [0, 0, -9.81], atol=1e-9)
+        assert state.hover.frame is FrameId.ROCK_COM
+        # the flat press's torque about the assumed COM, hover torque removed:
+        # the 10 N press acting at the patch centroid under the tip
+        contact, tip_z, _, _ = world.descend_until_contact(CAL_XY, 10.0, HOVER_Z)
+        lever = contact.contact_point - np.array([CAL_XY[0], CAL_XY[1], tip_z])
+        np.testing.assert_allclose(state.torque_reference, np.cross(lever, contact.force),
+                                   atol=1e-9)
 
 
 class TestPressAndEstimate:
@@ -201,8 +204,9 @@ class TestRunPlacement:
         assert trace.outcome is PlacementOutcome.NO_CONTACT
         [exc] = raised
         series = trace.descent_series[-1]
-        assert len(series) == exc.torque_rows.shape[0] == exc.force_rows.shape[0] > 0
-        for t, tau, f in zip(series[:, 0], exc.torque_rows, exc.force_rows):
+        torque_rows, force_rows = world.wrist_wrench_rows(exc.tips, exc.forces, None)
+        assert len(series) == torque_rows.shape[0] == exc.forces.shape[0] > 0
+        for t, tau, f in zip(series[:, 0], torque_rows, force_rows):
             true_tau, true_f = sensor.true_by_time[t]
             assert np.array_equal(true_tau, tau)
             assert np.array_equal(true_f, f)
@@ -271,7 +275,7 @@ class TestDescentRows:
         trace = run_placement(world, sensor, state, config, start_xy, 0.1)
 
         g_wr = com_frame_transform(world.params.wrist_lift)
-        hover = transform_wrench(g_wr, state.hover_baseline)
+        hover = state.hover
         assert sum(len(series) for series in trace.descent_series) > 0
         for series in trace.descent_series:
             for t, f_norm, tau_norm in series:
@@ -362,3 +366,6 @@ class TestConfigValidation:
         np.testing.assert_allclose(g.point_to_parent([0.0, 0.0, 0.0]), [0, 0, -0.15])
         assert g.parent is FrameId.WRIST
         assert g.child is FrameId.ROCK_COM
+        # built once per lift; its arrays are read-only, so presses can share it
+        assert com_frame_transform(0.15) is g
+        assert not g.translation.flags.writeable

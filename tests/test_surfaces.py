@@ -225,6 +225,135 @@ class TestEmptyRaster:
         assert float(gx) == pytest.approx(1.0)
 
 
+def full_gather(hf, x, y):
+    """Height and gradient by gathering all four corners of every query point,
+    whatever the material box says: the bilinear blend over the raw grid."""
+    values = hf.values
+    ny, nx = values.shape
+    fx = (np.asarray(x, dtype=float) - hf.origin[0]) / hf.pitch
+    fy = (np.asarray(y, dtype=float) - hf.origin[1]) / hf.pitch
+    ix = np.floor(fx).astype(int)
+    iy = np.floor(fy).astype(int)
+    valid = (ix >= 0) & (ix < nx - 1) & (iy >= 0) & (iy < ny - 1)
+    ixc = np.clip(ix, 0, nx - 2)
+    iyc = np.clip(iy, 0, ny - 2)
+    v00, v10 = values[iyc, ixc], values[iyc, ixc + 1]
+    v01, v11 = values[iyc + 1, ixc], values[iyc + 1, ixc + 1]
+    finite = valid & np.isfinite(v00) & np.isfinite(v10) & np.isfinite(v01) & np.isfinite(v11)
+    v00, v10, v01, v11 = (np.where(finite, v, 0.0) for v in (v00, v10, v01, v11))
+    tx, ty = fx - ix, fy - iy
+    h = v00 * (1 - tx) * (1 - ty) + v10 * tx * (1 - ty) + v01 * (1 - tx) * ty + v11 * tx * ty
+    gx = ((v10 - v00) * (1 - ty) + (v11 - v01) * ty) / hf.pitch
+    gy = ((v01 - v00) * (1 - tx) + (v11 - v10) * tx) / hf.pitch
+    return (np.where(finite, h, NO_SURFACE), np.where(finite, gx, 0.0),
+            np.where(finite, gy, 0.0))
+
+
+def finite_box(values):
+    """Inclusive (iy0, iy1, ix0, ix1) index box of the finite cells, or None."""
+    finite = np.isfinite(values)
+    rows = np.flatnonzero(finite.any(axis=1))
+    cols = np.flatnonzero(finite.any(axis=0))
+    if rows.size == 0:
+        return None
+    return (rows[0], rows[-1], cols[0], cols[-1])
+
+
+def box_queries(hf, rng, n=400):
+    """Query sets inside the material box, straddling it, wholly outside it,
+    one cell off each edge, and on its edges exactly; the last field says
+    whether the set lies wholly off the box."""
+    iy0, iy1, ix0, ix1 = hf._box
+    p = hf.pitch
+    x0, x1 = hf.origin[0] + ix0 * p, hf.origin[0] + ix1 * p
+    y0, y1 = hf.origin[1] + iy0 * p, hf.origin[1] + iy1 * p
+    mid_y = rng.uniform(y0, y1, n)
+    return [
+        ("inside", rng.uniform(x0, x1, n), rng.uniform(y0, y1, n), False),
+        ("straddling", rng.uniform(x0 - 3 * p, x1 + 3 * p, n),
+         rng.uniform(y0 - 3 * p, y1 + 3 * p, n), False),
+        ("left of it", rng.uniform(x0 - 0.05, x0 - 1.5 * p, n), mid_y, True),
+        ("below it", rng.uniform(x0, x1, n), rng.uniform(y0 - 0.05, y0 - 1.5 * p, n), True),
+        ("one cell left", x0 - p * rng.uniform(1e-9, 1.0, n), mid_y, True),
+        ("one cell right", x1 + p * rng.uniform(0.0, 1.0, n), mid_y, True),
+        ("one cell below", rng.uniform(x0, x1, n), y0 - p * rng.uniform(1e-9, 1.0, n), True),
+        ("one cell above", rng.uniform(x0, x1, n), y1 + p * rng.uniform(0.0, 1.0, n), True),
+        ("on the edges", np.array([x0, x1, x0, x1]), np.array([y0, y0, y1, y1]), False),
+        ("scalar", float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)), False),
+    ]
+
+
+def some_cell_in_box(hf, x, y) -> bool:
+    """Whether some query point's cell has all four corners in the box."""
+    iy0, iy1, ix0, ix1 = hf._box
+    ix = np.floor((np.asarray(x, dtype=float) - hf.origin[0]) / hf.pitch)
+    iy = np.floor((np.asarray(y, dtype=float) - hf.origin[1]) / hf.pitch)
+    return bool(np.any((ix >= ix0) & (ix + 1 <= ix1) & (iy >= iy0) & (iy + 1 <= iy1)))
+
+
+def assert_box_answers_match_the_full_gather(hf, rng, monkeypatch):
+    real_corners = HeightField._corners
+    gathered = []
+
+    def counted(self, fx, fy):
+        gathered.append(np.size(fx))
+        return real_corners(self, fx, fy)
+
+    monkeypatch.setattr(HeightField, "_corners", counted)
+    for label, x, y, off_box in box_queries(hf, rng):
+        gathered.clear()
+        want = full_gather(hf, x, y)
+        got = (hf.height(x, y),) + tuple(hf.grad(x, y))
+        for g, w in zip(got, want):
+            assert isinstance(g, np.ndarray) and g.shape == w.shape and g.dtype == float, label
+            assert np.array_equal(g, w), label
+        # a set wholly off the box answers without a gather
+        if off_box:
+            assert not some_cell_in_box(hf, x, y) and not gathered, label
+        elif some_cell_in_box(hf, x, y):
+            assert gathered, label
+
+
+class TestMaterialBox:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(stamp_specs, min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+    def test_stamped_raster_answers_as_the_full_gather(self, specs, seed):
+        hf = HeightField.empty((-0.1, 0.1), (-0.1, 0.1), 0.002)
+        assert hf._box is None
+        for kind, cx, cy, size, top, amp in specs:
+            def top_fn(dx, dy, top=top, amp=amp):
+                return top + amp * np.cos(300.0 * dx) * np.cos(300.0 * dy)
+
+            stamp = hf.stamp_disk if kind == "disk" else hf.stamp_square
+            stamp((cx, cy), size, top_fn)
+            assert hf._box == finite_box(hf.values)
+        if hf._box is None:  # every stamp fell off the raster
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            assert_box_answers_match_the_full_gather(hf, np.random.default_rng(seed), mp)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_raster_from_values_answers_as_the_full_gather(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        values = np.full((41, 57), NO_SURFACE)
+        iy0, ix0 = rng.integers(0, 20, 2)
+        iy1, ix1 = iy0 + rng.integers(1, 20), ix0 + rng.integers(1, 30)
+        values[iy0:iy1 + 1, ix0:ix1 + 1] = rng.uniform(0.0, 0.05, (iy1 - iy0 + 1, ix1 - ix0 + 1))
+        values[rng.random(values.shape) < 0.2] = NO_SURFACE
+        values[iy0, ix0] = values[iy1, ix1] = 0.01   # keep the box's corners
+        hf = HeightField((-0.05, -0.04), 0.002, values)
+        assert hf._box == (iy0, iy1, ix0, ix1)
+        assert_box_answers_match_the_full_gather(hf, rng, monkeypatch)
+
+    def test_box_of_given_values(self):
+        assert HeightField((0.0, 0.0), 0.01, np.full((4, 6), NO_SURFACE))._box is None
+        full = HeightField((0.0, 0.0), 0.01, np.zeros((4, 6)))
+        assert full._box == (0, 3, 0, 5)
+        values = np.full((4, 6), NO_SURFACE)
+        values[2, 1] = values[1, 4] = 0.0
+        assert HeightField((0.0, 0.0), 0.01, values)._box == (1, 2, 1, 4)
+
+
 class TestLayeredSurface:
     def test_max_composition(self):
         ground = FlatPlane(0.0)

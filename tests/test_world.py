@@ -86,8 +86,9 @@ class TestDescent:
     def test_step_series_reports_force_buildup(self):
         world = World([FlatPlane(0.0), Puck((0.0, 0.0), 0.05, 0.04)])
         world.hold(make_disk())
-        _, _, torque, force = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
-        assert torque.shape == force.shape == (force.shape[0], 3)
+        contact, _, tips, forces = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
+        torque, force = world.wrist_wrench_rows(tips, forces, contact)
+        assert torque.shape == force.shape == tips.shape == (forces.shape[0], 3)
         fz = force[:, 2]
         weight = -1.0 * 9.81
         assert fz[0] == pytest.approx(weight)       # free descent: gravity only
@@ -212,15 +213,16 @@ class TestBatchedDescent:
         if want_contact is None:
             with pytest.raises(NoContactWithinRange) as raised:
                 world.descend_until_contact(xy, threshold, start)
-            torque, force = raised.value.torque_rows, raised.value.force_rows
+            contact, tips, forces = None, raised.value.tips, raised.value.forces
         else:
-            contact, tip_z, torque, force = world.descend_until_contact(xy, threshold, start)
+            contact, tip_z, tips, forces = world.descend_until_contact(xy, threshold, start)
             assert tip_z == want_z
             for name in ("contact_point", "surface_normal", "contact_patch"):
                 assert np.array_equal(getattr(contact, name), getattr(want_contact, name))
             assert contact.penetration == want_contact.penetration
             assert contact.normal_force_magnitude == want_contact.normal_force_magnitude
             assert contact.touch_height == want_contact.touch_height
+        torque, force = world.wrist_wrench_rows(tips, forces, contact)
         assert torque.shape == force.shape == (len(steps), 3)
         assert np.array_equal(torque, np.array([tau for tau, _ in steps]))
         assert np.array_equal(force, np.array([f for _, f in steps]))
@@ -236,6 +238,82 @@ class TestBatchedDescent:
             tau, f = reference_wrist_wrench(world, tip, *args)
             assert np.array_equal(w.torque, tau)
             assert np.array_equal(w.force, f)
+
+
+def reference_contact_geometry(world, touch, pts, tower):
+    """The tie patch by boolean mask and column_stack, and its centroid."""
+    z_touch = np.max(touch)
+    tie = touch >= z_touch - world.params.patch_tie_tol
+    patch = np.column_stack([pts.T[tie], tower[tie]])
+    return patch, (patch.mean(axis=0) if patch.shape[0] > 1 else patch[0])
+
+
+def stacked_case(rng):
+    """A world whose raster holds a few stamped squares and disks, some rippled."""
+    world = World(FlatPlane(0.0))
+    for k in range(4):
+        center = rng.uniform(-0.02, 0.02, 2)
+        top, amp = 0.006 * (k + 1), rng.choice([0.0, 5e-4])
+
+        def top_fn(dx, dy, top=top, amp=amp):
+            return top + amp * np.cos(200.0 * dx) * np.cos(200.0 * dy)
+
+        if k % 2:
+            world.overlay.stamp_disk(center, rng.uniform(0.02, 0.05), top_fn)
+        else:
+            world.overlay.stamp_square(center, rng.uniform(0.02, 0.05), top_fn)
+    world.hold(make_square(half=0.03) if rng.random() < 0.5 else make_disk(radius=0.03))
+    return world, tuple(rng.uniform(-0.04, 0.04, 2))
+
+
+class TestContactPatch:
+    @pytest.mark.parametrize("case", ["flat", "puck_edge", "ramp", "dome_bottom", "stacked"])
+    def test_patch_and_contact_point_match_the_column_stack(self, case):
+        rng = np.random.default_rng(sum(map(ord, case)))
+        for _ in range(15):
+            if case == "stacked":
+                world, xy = stacked_case(rng)
+            else:
+                x, y = rng.uniform(-0.04, 0.04, 2)
+                world, xy = descent_case(case, 0.0, 5e-4, x, y, rng.uniform(-0.01, 0.01))
+            touch, pts, tower = world._touch_profile(xy)
+            assert np.isfinite(touch).any()
+            want_patch, want_point = reference_contact_geometry(world, touch, pts, tower)
+            contact = world._contact_at(touch, pts, tower, 10.0, 1e-4)
+            assert contact.contact_patch.flags.c_contiguous
+            assert np.array_equal(contact.contact_patch, want_patch)
+            assert np.array_equal(contact.contact_point, want_point)
+            assert contact.touch_height == float(np.max(touch))
+            assert np.array_equal(contact.surface_normal,
+                                  world.surface_normal(want_point[0], want_point[1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["disk", "square"]),
+        size=st.sampled_from([0.01, 0.0237, 0.05]),
+        pitch=st.sampled_from([1e-3, 7e-4, 2e-3]),
+        x=st.floats(-0.25, 0.25),
+        y=st.floats(-0.25, 0.25),
+        com_x=st.floats(-0.02, 0.02),
+        com_y=st.floats(-0.02, 0.02),
+    )
+    def test_patch_rows_come_in_xy_order(self, kind, size, pitch, x, y, com_x, com_y):
+        world = World(FlatPlane(0.0), params=SimParams(contact_pitch=pitch))
+        world.hold(HeldObject(mass=1.0, footprint=Footprint(kind, size), thickness=0.006,
+                              com_offset=np.array([com_x, com_y, 0.0])))
+        touch, pts, tower = world._touch_profile((x, y))
+        patch = world._contact_at(touch, pts, tower, 10.0, 1e-4).contact_patch
+        assert patch.shape[0] == touch.size   # flat ground: every sample ties
+        order = np.lexsort((patch[:, 1], patch[:, 0]))
+        assert np.array_equal(order, np.arange(patch.shape[0]))
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("rows in (x, y) order were sorted again")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "lexsort", no_sort)
+            extremes = _column_extremes(patch[:, :2])
+        assert np.array_equal(extremes, reference_column_extremes(patch[:, :2]))
 
 
 class TestWristWrench:
@@ -379,6 +457,39 @@ class TestColumnExtremesHull:
         pts = np.array([[0.0, 0.0], [0.0, 2.0], [0.0, 1.0], [1.0, 5.0], [2.0, 1.0], [2.0, -1.0]])
         assert _column_extremes(pts).tolist() == [
             [0.0, 0.0], [0.0, 2.0], [1.0, 5.0], [2.0, -1.0], [2.0, 1.0]]
+
+
+def reference_column_extremes(pts):
+    """Column extremes with the sort always run."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    xs = pts[order, 0]
+    new_column = xs[1:] != xs[:-1]
+    keep = np.concatenate([[True], new_column]) | np.concatenate([new_column, [True]])
+    return pts[order[keep]]
+
+
+class TestColumnExtremesOrder:
+    def test_unsorted_rows_are_sorted_first(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        sorts = []
+        real_lexsort = np.lexsort
+
+        def counted(*args, **kwargs):
+            sorts.append(1)
+            return real_lexsort(*args, **kwargs)
+
+        for _ in range(30):
+            pts = random_tie_patch(rng)
+            shuffled = pts[rng.permutation(pts.shape[0])]
+            want = reference_column_extremes(pts)
+            assert np.array_equal(reference_column_extremes(shuffled), want)
+            monkeypatch.setattr(np, "lexsort", counted)
+            sorts.clear()
+            assert np.array_equal(_column_extremes(pts), want)
+            assert not sorts
+            assert np.array_equal(_column_extremes(shuffled), want)
+            assert sorts == ([] if np.array_equal(shuffled, pts) else [1])
+            monkeypatch.undo()
 
 
 def _distance_to_segment(p, a, b) -> float:
