@@ -113,7 +113,7 @@ class Calibration:
     """
 
     hover: Wrench                 # assumed-COM frame
-    torque_reference: np.ndarray  # flat-press torque minus hover torque
+    torque_reference: np.ndarray  # flat-press torque minus hover torque, read-only
 
 
 @functools.lru_cache(maxsize=8)
@@ -201,7 +201,9 @@ def calibrate_for_held(world: World, sensor: ForceTorqueSensor, config: PolicyCo
     g_wr = com_frame_transform(world.params.wrist_lift)
     hover_com = transform_wrench(g_wr, hover)
     flat_com = transform_wrench(g_wr, flat)
-    return Calibration(hover=hover_com, torque_reference=flat_com.torque - hover_com.torque)
+    torque_reference = flat_com.torque - hover_com.torque
+    torque_reference.setflags(write=False)  # every press of the object shares it
+    return Calibration(hover=hover_com, torque_reference=torque_reference)
 
 
 def press_and_estimate(world: World, sensor: ForceTorqueSensor,

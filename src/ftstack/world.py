@@ -47,8 +47,9 @@ class Footprint:
             raise ValueError("footprint size must be positive")
 
     def sample_offsets(self, pitch: float) -> np.ndarray:
-        """(K, 2) sample offsets, rows in (x, y) order."""
-        return _footprint_offsets(self.kind, self.size, pitch).T
+        """Read-only (2, K) sample offsets: the x and the y row, samples in
+        (x, y) order. Cached, so repeated descents share one array."""
+        return _footprint_offsets(self.kind, self.size, pitch)
 
 
 @functools.lru_cache(maxsize=64)
@@ -236,8 +237,7 @@ class World:
         """Per-sample bottom-face heights at first touch, the (2, K) x and y
         rows of the sample points, and the terrain heights under them."""
         obj = self._require_held()
-        fp = obj.footprint
-        offsets = _footprint_offsets(fp.kind, fp.size, self.params.contact_pitch)
+        offsets = obj.footprint.sample_offsets(self.params.contact_pitch)
         center = np.asarray(xy, dtype=float) + obj.com_offset[:2]
         pts = offsets + center[:, None]
         tower = self.surface_height(pts[0], pts[1])

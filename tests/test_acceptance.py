@@ -231,7 +231,7 @@ def test_criterion_10_stability_oracle_equivalence():
         size = rng.uniform(0.02, 0.06)
         fp = Footprint(kind, size)
         center = rng.uniform(-0.05, 0.05, 2)
-        pts = fp.sample_offsets(2e-3) + center
+        pts = fp.sample_offsets(2e-3).T + center
         patch = np.column_stack([pts, np.zeros(len(pts))])
         contact = ContactResult(
             contact_point=np.array([center[0], center[1], 0.0]),

@@ -84,18 +84,25 @@ class TestProposeShift:
 class TestCalibration:
     def test_two_phase_calibration_values(self):
         world = World(FlatPlane(0.0))
-        world.hold(make_disk())
+        world.hold(make_disk(com_offset=np.array([0.006, 0.004, 0.0])))
         config = PolicyConfig()
-        state = calibrated(world, quiet_sensor(), config)
+        sensor = RecordingSensor(SensorConfig(noise_torque=0.0, noise_force=0.0, seed=0))
+        state = calibrated(world, sensor, config)
         assert isinstance(state, Calibration)
         np.testing.assert_allclose(state.hover.force, [0, 0, -9.81], atol=1e-9)
         assert state.hover.frame is FrameId.ROCK_COM
+        # the last tick is the flat press: the 10 N threshold bears on the weight
+        flat = sensor.by_time[max(sensor.by_time)]
+        np.testing.assert_allclose(flat.force, [0, 0, -9.81 + 10.0], atol=1e-9)
         # the flat press's torque about the assumed COM, hover torque removed:
-        # the 10 N press acting at the patch centroid under the tip
+        # the 10 N press acting at the patch centroid, which the COM offset
+        # moves off the tip
         contact, tip_z, _, _ = world.descend_until_contact(CAL_XY, 10.0, HOVER_Z)
         lever = contact.contact_point - np.array([CAL_XY[0], CAL_XY[1], tip_z])
-        np.testing.assert_allclose(state.torque_reference, np.cross(lever, contact.force),
-                                   atol=1e-9)
+        expected = np.cross(lever, contact.force)
+        assert np.linalg.norm(expected) > 0.01
+        np.testing.assert_allclose(state.torque_reference, expected, atol=1e-9)
+        assert not state.torque_reference.flags.writeable
 
 
 class TestPressAndEstimate:

@@ -45,10 +45,10 @@ class TestFootprint:
             Footprint("disk", 0.0)
 
     def test_sample_offsets_cover_the_exact_boundary(self):
-        offs = Footprint("disk", 0.05).sample_offsets(1e-3)
+        offs = Footprint("disk", 0.05).sample_offsets(1e-3).T
         norms = np.linalg.norm(offs, axis=1)
         assert np.max(norms) == pytest.approx(0.05)
-        offs_sq = Footprint("square", 0.05).sample_offsets(1e-3)
+        offs_sq = Footprint("square", 0.05).sample_offsets(1e-3).T
         assert np.max(np.abs(offs_sq)) == pytest.approx(0.05)
 
 
@@ -411,7 +411,7 @@ def random_tie_patch(rng):
     """A disk or square footprint's samples at a random center, maybe cut."""
     kind = ("disk", "square")[rng.integers(2)]
     size = (0.01, 0.03, 0.05)[rng.integers(3)]
-    pts = Footprint(kind, size).sample_offsets(1e-3) + rng.uniform(-0.1, 0.1, 2)
+    pts = Footprint(kind, size).sample_offsets(1e-3).T + rng.uniform(-0.1, 0.1, 2)
     center = pts.mean(axis=0)
     cut = rng.integers(3)
     if cut == 1:  # half-plane through a point near the center
