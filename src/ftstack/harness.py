@@ -35,6 +35,7 @@ from .policy import (
     run_stack,
 )
 from .scenario import (
+    _PLACEMENT_FAMILIES,
     Scenario,
     build_object,
     build_policy,
@@ -490,9 +491,7 @@ class _Family(NamedTuple):
 
 _PLACEMENT = _Family(_placement_trial, _aggregate_placement, None)
 _FAMILIES = {
-    "zero_offset": _PLACEMENT,
-    "offset_recovery": _PLACEMENT,
-    "ramp": _PLACEMENT,
+    **dict.fromkeys(_PLACEMENT_FAMILIES, _PLACEMENT),
     "multi_stack": _Family(_stack_trial, _aggregate_stack, None),
     "finger_press": _Family(_press_trial, _aggregate_press, ("press.csv", _PRESS_COLUMNS)),
     "noise_sweep": _Family(_sweep_trial, _aggregate_sweep, ("sweep.csv", _SWEEP_COLUMNS)),

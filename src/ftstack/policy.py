@@ -21,7 +21,12 @@ from enum import Enum
 
 import numpy as np
 
-from .estimation import ContactEstimate, DegenerateNormalForce, estimate_contact
+from .estimation import (
+    DEFAULT_FORCE_FLOOR,
+    ContactEstimate,
+    DegenerateNormalForce,
+    estimate_contact,
+)
 from .sensor import ForceTorqueSensor, ReadingWindow
 from .spatial import (
     FrameId,
@@ -47,7 +52,7 @@ class PolicyConfig:
     step_gain: float = 0.5                  # flat-seeking nudge; 0 disables
     flat_dir_floor: float = 0.02            # tilt deadband (sine of the angle)
     raise_height: float = 0.02              # m lifted between presses
-    force_floor: float = 1.0                # N, degenerate-press cutoff
+    force_floor: float = DEFAULT_FORCE_FLOOR  # N, degenerate-press cutoff
     max_iterations: int = 10
     workspace_limit: float = 0.2            # m, symmetric xy clamp
     repress_scale: float = 1.5              # threshold factor for the retry press

@@ -8,7 +8,8 @@ the validated sections into live world, object, sensor, and policy values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,8 +28,6 @@ from .world import (
 )
 
 SCHEMA_VERSION = 1
-
-_SURFACE_KINDS = ("flat", "puck", "ramp", "spherical_cap", "height_field")
 
 # the families that place one object; they read the same sections and expect keys
 _PLACEMENT_FAMILIES = ("zero_offset", "offset_recovery", "ramp")
@@ -104,64 +103,117 @@ def _span(value, path: str) -> list:
     return pair
 
 
-def _parse_surface(data, path: str) -> dict:
+def _list(value, path: str, item: Callable) -> list:
+    """A non-empty list, each item checked at its index."""
+    if not isinstance(value, list) or not value:
+        _fail(path, "expected a non-empty list")
+    return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _pos(value, path: str) -> float:
+    return _num(value, path, lo=0.0, lo_open=True)
+
+
+def _at_least_zero(value, path: str) -> float:
+    return _num(value, path, lo=0.0)
+
+
+def _rate(value, path: str) -> float:
+    return _num(value, path, lo=0.0, hi=1.0)
+
+
+def _count(value, path: str) -> int:
+    return _int(value, path, lo=1)
+
+
+def _xy(value, path: str) -> list:
+    return _vec(value, 2, path)
+
+
+def _xyz(value, path: str) -> list:
+    return _vec(value, 3, path)
+
+
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    check: Callable              # (value, path) -> the validated value
+    default: object = _REQUIRED  # filled in when absent; None leaves an absent or null key None
+
+
+def _parse_keys(data, path: str, keys: dict) -> dict:
+    """A mapping checked against its key table (key -> _Key): missing and
+    unknown keys fail, absent keys take their defaults, and every value is
+    checked in table order, which is also the canonical key order."""
     d = _mapping(data, path)
-    kind = _choice(d.get("kind"), _SURFACE_KINDS, f"{path}.kind")
-    if kind == "flat":
-        _check_keys(d, path, ("kind",), ("height",))
-        return {"kind": "flat", "height": _num(d.get("height", 0.0), f"{path}.height")}
-    if kind == "puck":
-        _check_keys(d, path, ("kind", "center", "radius", "top_height"),
-                    ("ripple_amplitude", "ripple_wavelength"))
-        return {
-            "kind": "puck",
-            "center": _vec(d["center"], 2, f"{path}.center"),
-            "radius": _num(d["radius"], f"{path}.radius", lo=0.0, lo_open=True),
-            "top_height": _num(d["top_height"], f"{path}.top_height"),
-            "ripple_amplitude": _num(d.get("ripple_amplitude", 0.0),
-                                     f"{path}.ripple_amplitude", lo=0.0),
-            "ripple_wavelength": _num(d.get("ripple_wavelength", 0.02),
-                                      f"{path}.ripple_wavelength", lo=0.0, lo_open=True),
-        }
-    if kind == "ramp":
-        _check_keys(d, path, ("kind", "x_range", "y_range", "slope_deg"),
-                    ("base_height", "azimuth_deg"))
-        slope = _num(d["slope_deg"], f"{path}.slope_deg", lo=0.0, hi=89.0, lo_open=True)
-        return {
-            "kind": "ramp",
-            "x_range": _span(d["x_range"], f"{path}.x_range"),
-            "y_range": _span(d["y_range"], f"{path}.y_range"),
-            "slope_deg": slope,
-            "base_height": _num(d.get("base_height", 0.0), f"{path}.base_height"),
-            "azimuth_deg": _num(d.get("azimuth_deg", 0.0), f"{path}.azimuth_deg"),
-        }
-    if kind == "spherical_cap":
-        _check_keys(d, path, ("kind", "center", "extent_radius", "curvature_radius",
-                              "apex_height"), ())
-        extent = _num(d["extent_radius"], f"{path}.extent_radius", lo=0.0, lo_open=True)
-        curv = _num(d["curvature_radius"], f"{path}.curvature_radius",
-                    lo=extent, lo_open=True)
-        return {
-            "kind": "spherical_cap",
-            "center": _vec(d["center"], 2, f"{path}.center"),
-            "extent_radius": extent,
-            "curvature_radius": curv,
-            "apex_height": _num(d["apex_height"], f"{path}.apex_height"),
-        }
-    _check_keys(d, path, ("kind", "origin", "pitch", "values"), ())
-    values = d["values"]
+    _check_keys(d, path, tuple(k for k, key in keys.items() if key.default is _REQUIRED),
+                tuple(keys))
+    out = {}
+    for name, key in keys.items():
+        value = d.get(name, key.default)
+        absent = value is None and key.default is None
+        out[name] = None if absent else key.check(value, f"{path}.{name}")
+    return out
+
+
+def _section(keys: dict) -> Callable:
+    """The check of a mapping whose keys the table declares."""
+    return lambda data, path: _parse_keys(data, path, keys)
+
+
+def _grid(values, path: str) -> list:
     if not isinstance(values, list) or not values or not all(
         isinstance(row, list) and len(row) == len(values[0]) and row for row in values
     ):
-        _fail(f"{path}.values", "expected a non-empty rectangular list of rows")
-    rows = [[_num(v, f"{path}.values[{i}][{j}]") for j, v in enumerate(row)]
+        _fail(path, "expected a non-empty rectangular list of rows")
+    return [[_num(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)]
             for i, row in enumerate(values)]
-    return {
-        "kind": "height_field",
-        "origin": _vec(d["origin"], 2, f"{path}.origin"),
-        "pitch": _num(d["pitch"], f"{path}.pitch", lo=0.0, lo_open=True),
-        "values": rows,
-    }
+
+
+class _SurfaceKind(NamedTuple):
+    keys: dict       # the keys besides 'kind'
+    build: Callable  # canonical surface -> terrain layer
+
+
+_SURFACES = {
+    "flat": _SurfaceKind({"height": _Key(_num, 0.0)}, lambda c: FlatPlane(c["height"])),
+    "puck": _SurfaceKind(
+        {"center": _Key(_xy), "radius": _Key(_pos), "top_height": _Key(_num),
+         "ripple_amplitude": _Key(_at_least_zero, 0.0), "ripple_wavelength": _Key(_pos, 0.02)},
+        lambda c: Puck(center=tuple(c["center"]), radius=c["radius"],
+                       top_height=c["top_height"], ripple_amplitude=c["ripple_amplitude"],
+                       ripple_wavelength=c["ripple_wavelength"])),
+    "ramp": _SurfaceKind(
+        {"x_range": _Key(_span), "y_range": _Key(_span),
+         "slope_deg": _Key(lambda v, p: _num(v, p, lo=0.0, hi=89.0, lo_open=True)),
+         "base_height": _Key(_num, 0.0), "azimuth_deg": _Key(_num, 0.0)},
+        lambda c: RampPatch(x_range=tuple(c["x_range"]), y_range=tuple(c["y_range"]),
+                            base_height=c["base_height"], slope_angle=np.radians(c["slope_deg"]),
+                            azimuth=np.radians(c["azimuth_deg"]))),
+    # the curvature must exceed the extent; _parse_surface checks it
+    "spherical_cap": _SurfaceKind(
+        {"center": _Key(_xy), "extent_radius": _Key(_pos), "curvature_radius": _Key(_num),
+         "apex_height": _Key(_num)},
+        lambda c: SphericalCap(center=tuple(c["center"]), extent_radius=c["extent_radius"],
+                               curvature_radius=c["curvature_radius"],
+                               apex_height=c["apex_height"])),
+    "height_field": _SurfaceKind(
+        {"origin": _Key(_xy), "pitch": _Key(_pos), "values": _Key(_grid)},
+        lambda c: HeightField(origin=tuple(c["origin"]), pitch=c["pitch"],
+                              values=np.asarray(c["values"], dtype=float))),
+}
+_KIND = _Key(lambda kind, path: kind)  # checked before the kind's table is chosen
+
+
+def _parse_surface(data, path: str) -> dict:
+    d = _mapping(data, path)
+    kind = _choice(d.get("kind"), tuple(_SURFACES), f"{path}.kind")
+    out = _parse_keys(d, path, {"kind": _KIND, **_SURFACES[kind].keys})
+    if kind == "spherical_cap" and out["curvature_radius"] <= out["extent_radius"]:
+        _fail(f"{path}.curvature_radius",
+              f"must be > {out['extent_radius']}, got {out['curvature_radius']}")
+    return out
 
 
 # SimParams field -> (lower bound, bound excluded); a None bound only asks for
@@ -180,25 +232,20 @@ _SIM_PARAM_BOUNDS = {
 }
 
 
-def _parse_world(data, path: str) -> dict:
+def _sim_params(data, path: str) -> dict:
+    """Only the params given, in the order given: save_scenario writes them so."""
     d = _mapping(data, path)
-    _check_keys(d, path, ("surfaces",), ("x_range", "y_range", "params"))
-    surfaces = d["surfaces"]
-    if not isinstance(surfaces, list) or not surfaces:
-        _fail(f"{path}.surfaces", "expected a non-empty list")
-    parsed = [_parse_surface(s, f"{path}.surfaces[{i}]") for i, s in enumerate(surfaces)]
-    params = _mapping(d.get("params", {}), f"{path}.params")
-    _check_keys(params, f"{path}.params", (), tuple(_SIM_PARAM_BOUNDS))
-    out_params = {}
-    for k in params:
-        lo, lo_open = _SIM_PARAM_BOUNDS[k]
-        out_params[k] = _num(params[k], f"{path}.params.{k}", lo=lo, lo_open=lo_open)
-    return {
-        "x_range": _span(d.get("x_range", [-0.3, 0.3]), f"{path}.x_range"),
-        "y_range": _span(d.get("y_range", [-0.3, 0.3]), f"{path}.y_range"),
-        "surfaces": parsed,
-        "params": out_params,
-    }
+    _check_keys(d, path, (), tuple(_SIM_PARAM_BOUNDS))
+    return {k: _num(v, f"{path}.{k}", lo=_SIM_PARAM_BOUNDS[k][0], lo_open=_SIM_PARAM_BOUNDS[k][1])
+            for k, v in d.items()}
+
+
+_WORLD_KEYS = {
+    "x_range": _Key(_span, [-0.3, 0.3]),
+    "y_range": _Key(_span, [-0.3, 0.3]),
+    "surfaces": _Key(lambda v, p: _list(v, p, _parse_surface)),
+    "params": _Key(_sim_params, {}),
+}
 
 
 # object profile -> kind -> the keys besides 'kind' that the kind reads, each
@@ -209,208 +256,140 @@ _PROFILE_KEYS = {
 }
 
 
-def _parse_profile(obj: dict, path: str, profile: str) -> dict:
+def _parse_profile(kinds: dict, data, path: str) -> dict:
     """An object's bottom or top profile; a key its kind does not read fails."""
-    kinds, path = _PROFILE_KEYS[profile], f"{path}.{profile}"
-    d = _mapping(obj.get(profile, {"kind": "flat"}), path)
+    d = _mapping(data, path)
     _check_keys(d, path, ("kind",), tuple(k for keys in kinds.values() for k in keys))
     kind = _choice(d["kind"], tuple(kinds), f"{path}.kind")
     for key in d:
         if key != "kind" and key not in kinds[kind]:
             _fail(f"{path}.{key}", f"not used by kind {kind}")
-    return {"kind": kind, **{key: _num(d.get(key, default), f"{path}.{key}",
-                                       lo=0.0, lo_open=True)
+    return {"kind": kind, **{key: _pos(d.get(key, default), f"{path}.{key}")
                              for key, default in kinds[kind].items()}}
 
 
-def _parse_object(data, path: str) -> dict:
-    d = _mapping(data, path)
-    _check_keys(d, path, ("mass", "footprint", "thickness"),
-                ("com_offset", "com_offset_sampler", "bottom", "top", "tip_to_bottom"))
-    fp = _mapping(d["footprint"], f"{path}.footprint")
-    _check_keys(fp, f"{path}.footprint", ("kind", "size"), ())
-    footprint = {
-        "kind": _choice(fp["kind"], ("disk", "square"), f"{path}.footprint.kind"),
-        "size": _num(fp["size"], f"{path}.footprint.size", lo=0.0, lo_open=True),
-    }
-    if "com_offset" in d and "com_offset_sampler" in d:
-        _fail(path, "give com_offset or com_offset_sampler, not both")
-    sampler = None
-    if "com_offset_sampler" in d:
-        sampler = _parse_sampler(d["com_offset_sampler"], f"{path}.com_offset_sampler")
-    bottom = _parse_profile(d, path, "bottom")
-    top = _parse_profile(d, path, "top")
-    out = {
-        "mass": _num(d["mass"], f"{path}.mass", lo=0.0, lo_open=True),
-        "footprint": footprint,
-        "thickness": _num(d["thickness"], f"{path}.thickness", lo=0.0, lo_open=True),
-        "com_offset": _vec(d.get("com_offset", [0.0, 0.0, 0.0]), 3, f"{path}.com_offset"),
-        "com_offset_sampler": sampler,
-        "bottom": bottom,
-        "top": top,
-    }
-    if "tip_to_bottom" in d:
-        out["tip_to_bottom"] = _num(d["tip_to_bottom"], f"{path}.tip_to_bottom",
-                                    lo=0.0, lo_open=True)
-    else:
-        out["tip_to_bottom"] = None
-    return out
-
-
-def _defaults(config, skip=()) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(config) if f.name not in skip}
-
-
-# the sensor's RNG comes from the trial seed, never from the file
-_SENSOR_DEFAULTS = _defaults(SensorConfig(), skip=("seed",))
-_WINDOW_DEFAULTS = _defaults(ReadingWindow())
-_POLICY_DEFAULTS = _defaults(PolicyConfig())
-
-
-def _with_defaults(data, path: str, defaults: dict) -> dict:
-    d = _mapping(data, path)
-    _check_keys(d, path, (), tuple(defaults))
-    return {**defaults, **d}
-
-
-def _parse_sensor(data, path: str) -> dict:
-    d = _with_defaults(data, path, _SENSOR_DEFAULTS)
-    return {
-        "sample_rate": _num(d["sample_rate"], f"{path}.sample_rate", lo=0.0, lo_open=True),
-        "noise_force": _num(d["noise_force"], f"{path}.noise_force", lo=0.0),
-        "noise_torque": _num(d["noise_torque"], f"{path}.noise_torque", lo=0.0),
-        "bias_force": _vec(d["bias_force"], 3, f"{path}.bias_force"),
-        "bias_torque": _vec(d["bias_torque"], 3, f"{path}.bias_torque"),
-        "drift_force": _vec(d["drift_force"], 3, f"{path}.drift_force"),
-        "drift_torque": _vec(d["drift_torque"], 3, f"{path}.drift_torque"),
-    }
-
-
-def _parse_window(data, path: str) -> dict:
-    d = _with_defaults(data, path, _WINDOW_DEFAULTS)
-    return {
-        "settle_time": _num(d["settle_time"], f"{path}.settle_time", lo=0.0),
-        "average_time": _num(d["average_time"], f"{path}.average_time",
-                             lo=0.0, lo_open=True),
-    }
-
-
-def _parse_policy(data, path: str) -> dict:
-    d = _with_defaults(data, path, _POLICY_DEFAULTS)
-    return {
-        "resistance_threshold": _num(d["resistance_threshold"],
-                                     f"{path}.resistance_threshold", lo=0.0, lo_open=True),
-        "torque_release_threshold": _num(d["torque_release_threshold"],
-                                         f"{path}.torque_release_threshold",
-                                         lo=0.0, lo_open=True),
-        "step_gain": _num(d["step_gain"], f"{path}.step_gain", lo=0.0),
-        "flat_dir_floor": _num(d["flat_dir_floor"], f"{path}.flat_dir_floor", lo=0.0),
-        "raise_height": _num(d["raise_height"], f"{path}.raise_height", lo=0.0),
-        "force_floor": _num(d["force_floor"], f"{path}.force_floor", lo=0.0, lo_open=True),
-        "max_iterations": _int(d["max_iterations"], f"{path}.max_iterations", lo=1),
-        "workspace_limit": _num(d["workspace_limit"], f"{path}.workspace_limit",
-                                lo=0.0, lo_open=True),
-        "repress_scale": _num(d["repress_scale"], f"{path}.repress_scale",
-                              lo=1.0, lo_open=True),
-    }
-
-
-def _parse_sampler(data, path: str) -> dict:
-    d = _mapping(data, path)
-    _check_keys(d, path, ("radius",), ("axis_aligned",))
-    radius = _vec(d["radius"], 2, f"{path}.radius")
+def _radius_range(value, path: str) -> list:
+    radius = _vec(value, 2, path)
     if not 0.0 <= radius[0] <= radius[1]:
-        _fail(f"{path}.radius", f"need 0 <= lo <= hi, got {radius}")
-    return {
-        "radius": radius,
-        "axis_aligned": _bool(d.get("axis_aligned", False), f"{path}.axis_aligned"),
-    }
+        _fail(path, f"need 0 <= lo <= hi, got {radius}")
+    return radius
 
 
-def _parse_placement(data, path: str) -> dict:
-    d = _mapping(data, path)
-    _check_keys(d, path, (), ("start_xy", "guess_sampler", "hover_tip_z",
-                              "calibration_xy", "stable_xy"))
-    out = {
-        "start_xy": _vec(d.get("start_xy", [0.0, 0.0]), 2, f"{path}.start_xy"),
-        "guess_sampler": (None if d.get("guess_sampler") is None
-                          else _parse_sampler(d["guess_sampler"], f"{path}.guess_sampler")),
-        "hover_tip_z": _num(d.get("hover_tip_z", 0.1), f"{path}.hover_tip_z"),
-        "calibration_xy": _vec(d.get("calibration_xy", [0.15, -0.15]), 2,
-                               f"{path}.calibration_xy"),
-        "stable_xy": (None if d.get("stable_xy") is None
-                      else _vec(d["stable_xy"], 2, f"{path}.stable_xy")),
-    }
-    return out
+_SAMPLER_KEYS = {"radius": _Key(_radius_range), "axis_aligned": _Key(_bool, False)}
+
+_OBJECT_KEYS = {
+    "mass": _Key(_pos),
+    "footprint": _Key(_section({
+        "kind": _Key(lambda v, p: _choice(v, ("disk", "square"), p)),
+        "size": _Key(_pos),
+    })),
+    "thickness": _Key(_pos),
+    "com_offset": _Key(_xyz, [0.0, 0.0, 0.0]),
+    "com_offset_sampler": _Key(_section(_SAMPLER_KEYS), None),
+    "bottom": _Key(partial(_parse_profile, _PROFILE_KEYS["bottom"]), {"kind": "flat"}),
+    "top": _Key(partial(_parse_profile, _PROFILE_KEYS["top"]), {"kind": "flat"}),
+    "tip_to_bottom": _Key(_pos, None),
+}
 
 
-def _parse_stack(data, path: str) -> dict:
-    d = _mapping(data, path)
-    _check_keys(d, path, ("count",), ("perturbation_limit", "target_xy",
-                                      "calibration_xy", "hover_tip_z",
-                                      "approach_clearance"))
-    return {
-        "count": _int(d["count"], f"{path}.count", lo=1),
-        "perturbation_limit": _num(d.get("perturbation_limit", 0.01),
-                                   f"{path}.perturbation_limit", lo=0.0),
-        "target_xy": _vec(d.get("target_xy", [0.0, 0.0]), 2, f"{path}.target_xy"),
-        "calibration_xy": _vec(d.get("calibration_xy", [0.15, -0.15]), 2,
-                               f"{path}.calibration_xy"),
-        "hover_tip_z": _num(d.get("hover_tip_z", 0.1), f"{path}.hover_tip_z"),
-        "approach_clearance": _num(d.get("approach_clearance", 0.01),
-                                   f"{path}.approach_clearance", lo=0.0, lo_open=True),
-    }
+def _parse_object(data, path: str) -> dict:
+    obj = _parse_keys(data, path, _OBJECT_KEYS)
+    if "com_offset" in data and obj["com_offset_sampler"] is not None:
+        _fail(path, "give com_offset or com_offset_sampler, not both")
+    return obj
 
 
-def _parse_sweep(data, path: str) -> dict:
-    d = _mapping(data, path)
-    _check_keys(d, path, ("magnitudes",), ("center", "directions", "repeats",
-                                           "hover_tip_z", "calibration_xy"))
-    mags = d["magnitudes"]
-    if not isinstance(mags, list) or not mags:
-        _fail(f"{path}.magnitudes", "expected a non-empty list")
-    parsed = [_num(m, f"{path}.magnitudes[{i}]", lo=0.0) for i, m in enumerate(mags)]
-    if any(b <= a for a, b in zip(parsed, parsed[1:])):
-        _fail(f"{path}.magnitudes", "must be strictly increasing")
-    return {
-        "center": _vec(d.get("center", [0.0, 0.0]), 2, f"{path}.center"),
-        "magnitudes": parsed,
-        "directions": _int(d.get("directions", 8), f"{path}.directions", lo=1),
-        "repeats": _int(d.get("repeats", 6), f"{path}.repeats", lo=1),
-        "hover_tip_z": _num(d.get("hover_tip_z", 0.1), f"{path}.hover_tip_z"),
-        "calibration_xy": _vec(d.get("calibration_xy", [0.15, -0.15]), 2,
-                               f"{path}.calibration_xy"),
-    }
+def _config_keys(config, checks: dict) -> dict:
+    """A key table over a config's fields, each defaulting to the config's value."""
+    return {name: _Key(check, getattr(config, name)) for name, check in checks.items()}
 
 
-def _parse_press(data, path: str) -> dict:
-    d = _mapping(data, path)
-    _check_keys(d, path, ("offset_radius",), ("mass", "torques", "gravity"))
-    torques = d.get("torques", {"min": 1.0, "max": 30.0, "spacing": "linear"})
-    if isinstance(torques, list):
-        t_out = [_num(t, f"{path}.torques[{i}]", lo=0.0) for i, t in enumerate(torques)]
-        if not t_out:
-            _fail(f"{path}.torques", "expected a non-empty list")
-    else:
-        t = _mapping(torques, f"{path}.torques")
-        _check_keys(t, f"{path}.torques", ("min", "max"), ("spacing",))
-        lo = _num(t["min"], f"{path}.torques.min", lo=0.0)
-        hi = _num(t["max"], f"{path}.torques.max", lo=lo, lo_open=True)
-        t_out = {
-            "min": lo,
-            "max": hi,
-            "spacing": _choice(t.get("spacing", "linear"), ("linear", "log"),
-                               f"{path}.torques.spacing"),
-        }
-        if t_out["spacing"] == "log" and lo <= 0.0:
-            _fail(f"{path}.torques.min", "log spacing needs min > 0")
-    return {
-        "mass": _num(d.get("mass", 1.0), f"{path}.mass", lo=0.0, lo_open=True),
-        "offset_radius": _num(d["offset_radius"], f"{path}.offset_radius",
-                              lo=0.0, lo_open=True),
-        "gravity": _num(d.get("gravity", 9.81), f"{path}.gravity", lo=0.0, lo_open=True),
-        "torques": t_out,
-    }
+_SENSOR_KEYS = _config_keys(SensorConfig(), {
+    "sample_rate": _pos,
+    "noise_force": _at_least_zero,
+    "noise_torque": _at_least_zero,
+    "bias_force": _xyz,
+    "bias_torque": _xyz,
+    "drift_force": _xyz,
+    "drift_torque": _xyz,
+})
+_WINDOW_KEYS = _config_keys(ReadingWindow(), {"settle_time": _at_least_zero,
+                                              "average_time": _pos})
+_POLICY_KEYS = _config_keys(PolicyConfig(), {
+    "resistance_threshold": _pos,
+    "torque_release_threshold": _pos,
+    "step_gain": _at_least_zero,
+    "flat_dir_floor": _at_least_zero,
+    "raise_height": _at_least_zero,
+    "force_floor": _pos,
+    "max_iterations": _count,
+    "workspace_limit": _pos,
+    "repress_scale": lambda v, p: _num(v, p, lo=1.0, lo_open=True),
+})
+
+# defaults of every section that places objects: the flat-press spot and the hover height
+_CALIBRATION_XY = [0.15, -0.15]
+_HOVER_TIP_Z = 0.1
+
+_PLACEMENT_KEYS = {
+    "start_xy": _Key(_xy, [0.0, 0.0]),
+    "guess_sampler": _Key(_section(_SAMPLER_KEYS), None),
+    "hover_tip_z": _Key(_num, _HOVER_TIP_Z),
+    "calibration_xy": _Key(_xy, _CALIBRATION_XY),
+    "stable_xy": _Key(_xy, None),
+}
+
+_STACK_KEYS = {
+    "count": _Key(_count),
+    "perturbation_limit": _Key(_at_least_zero, 0.01),
+    "target_xy": _Key(_xy, [0.0, 0.0]),
+    "calibration_xy": _Key(_xy, _CALIBRATION_XY),
+    "hover_tip_z": _Key(_num, _HOVER_TIP_Z),
+    "approach_clearance": _Key(_pos, 0.01),
+}
+
+
+def _magnitudes(value, path: str) -> list:
+    mags = _list(value, path, _at_least_zero)
+    if any(b <= a for a, b in zip(mags, mags[1:])):
+        _fail(path, "must be strictly increasing")
+    return mags
+
+
+_SWEEP_KEYS = {
+    "center": _Key(_xy, [0.0, 0.0]),
+    "magnitudes": _Key(_magnitudes),
+    "directions": _Key(_count, 8),
+    "repeats": _Key(_count, 6),
+    "hover_tip_z": _Key(_num, _HOVER_TIP_Z),
+    "calibration_xy": _Key(_xy, _CALIBRATION_XY),
+}
+
+_TORQUE_RANGE_KEYS = {
+    "min": _Key(_at_least_zero),
+    "max": _Key(_num),
+    "spacing": _Key(lambda v, p: _choice(v, ("linear", "log"), p), "linear"),
+}
+
+
+def _torques(value, path: str) -> list | dict:
+    """A list of torques, one per trial, or a min/max range."""
+    if isinstance(value, list):
+        return _list(value, path, _at_least_zero)
+    t = _parse_keys(value, path, _TORQUE_RANGE_KEYS)
+    if t["max"] <= t["min"]:
+        _fail(f"{path}.max", f"must be > {t['min']}, got {t['max']}")
+    if t["spacing"] == "log" and t["min"] <= 0.0:
+        _fail(f"{path}.min", "log spacing needs min > 0")
+    return t
+
+
+_PRESS_KEYS = {
+    "mass": _Key(_pos, 1.0),
+    "offset_radius": _Key(_pos),
+    "gravity": _Key(_pos, 9.81),
+    "torques": _Key(_torques, {"min": 1.0, "max": 30.0, "spacing": "linear"}),
+}
 
 
 def _judge_min_success_rate(e: dict, r: dict):
@@ -484,14 +463,6 @@ class _ExpectKey(NamedTuple):
     judge: Callable | None = None  # (expect, results) -> (passed, detail)
 
 
-def _rate(v, path: str) -> float:
-    return _num(v, path, lo=0.0, hi=1.0)
-
-
-def _at_least_zero(v, path: str) -> float:
-    return _num(v, path, lo=0.0)
-
-
 _OUTCOMES = tuple(o.value for o in PlacementOutcome)
 _SWEEP = ("noise_sweep",)
 
@@ -501,7 +472,7 @@ _EXPECT = {
     "min_success_rate": _ExpectKey(_PLACEMENT_FAMILIES + ("multi_stack",), _rate,
                                    judge=_judge_min_success_rate),
     "min_oneshot_rate": _ExpectKey(_PLACEMENT_FAMILIES, _rate, qualifies="oneshot_tolerance"),
-    "max_iterations_per_trial": _ExpectKey(_PLACEMENT_FAMILIES, lambda v, p: _int(v, p, lo=1),
+    "max_iterations_per_trial": _ExpectKey(_PLACEMENT_FAMILIES, _count,
                                            judge=_judge_max_iterations_per_trial),
     "all_outcome": _ExpectKey(_PLACEMENT_FAMILIES, lambda v, p: _choice(v, _OUTCOMES, p),
                               judge=_judge_all_outcome),
@@ -550,15 +521,15 @@ def evaluate_expect(scenario: Scenario, results: dict) -> dict:
 
 
 _SECTION_PARSERS = {
-    "world": _parse_world,
+    "world": _section(_WORLD_KEYS),
     "object": _parse_object,
-    "sensor": _parse_sensor,
-    "window": _parse_window,
-    "policy": _parse_policy,
-    "placement": _parse_placement,
-    "stack": _parse_stack,
-    "sweep": _parse_sweep,
-    "press": _parse_press,
+    "sensor": _section(_SENSOR_KEYS),
+    "window": _section(_WINDOW_KEYS),
+    "policy": _section(_POLICY_KEYS),
+    "placement": _section(_PLACEMENT_KEYS),
+    "stack": _section(_STACK_KEYS),
+    "sweep": _section(_SWEEP_KEYS),
+    "press": _section(_PRESS_KEYS),
     "expect": _parse_expect,
 }
 
@@ -584,16 +555,16 @@ class Scenario:
     family: str
     seed: int
     trials: int
+    sensor: dict
+    window: dict
+    policy: dict
+    expect: dict
     world: dict | None = None
     obj: dict | None = None
-    sensor: dict = field(default_factory=lambda: _parse_sensor({}, "sensor"))
-    window: dict = field(default_factory=lambda: _parse_window({}, "window"))
-    policy: dict = field(default_factory=lambda: _parse_policy({}, "policy"))
     placement: dict | None = None
     stack: dict | None = None
     sweep: dict | None = None
     press: dict | None = None
-    expect: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, data) -> "Scenario":
@@ -649,35 +620,16 @@ class Scenario:
                    obj=sections.pop("object", None), **sections)
 
     def to_dict(self) -> dict:
-        # emit the minimal canonical form: optional keys that parsed to None
-        # are dropped so the output re-parses under the strict schema
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "family": self.family,
-            "seed": self.seed,
-            "trials": self.trials,
-        }
-        if self.world is not None:
-            out["world"] = self.world
-        if self.obj is not None:
-            obj = {k: v for k, v in self.obj.items() if v is not None}
-            if self.obj.get("com_offset_sampler") is not None:
-                obj.pop("com_offset", None)
-            out["object"] = obj
-        out["sensor"] = self.sensor
-        out["window"] = self.window
-        out["policy"] = self.policy
-        if self.placement is not None:
-            out["placement"] = {k: v for k, v in self.placement.items() if v is not None}
-        if self.stack is not None:
-            out["stack"] = self.stack
-        if self.sweep is not None:
-            out["sweep"] = self.sweep
-        if self.press is not None:
-            out["press"] = self.press
-        if self.expect:
-            out["expect"] = self.expect
+        # emit the minimal canonical form: values that parsed to None and an
+        # empty expect are dropped so the output re-parses under the strict schema
+        out = {"schema_version": SCHEMA_VERSION, "name": self.name, "family": self.family,
+               "seed": self.seed, "trials": self.trials}
+        for key in _SECTION_PARSERS:
+            section = getattr(self, "obj" if key == "object" else key)
+            if section:
+                out[key] = {k: v for k, v in section.items() if v is not None}
+        if self.obj is not None and self.obj["com_offset_sampler"] is not None:
+            del out["object"]["com_offset"]
         return out
 
 
@@ -699,46 +651,16 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def build_surface(cfg: dict):
-    kind = cfg["kind"]
-    if kind == "flat":
-        return FlatPlane(cfg["height"])
-    if kind == "puck":
-        return Puck(
-            center=tuple(cfg["center"]),
-            radius=cfg["radius"],
-            top_height=cfg["top_height"],
-            ripple_amplitude=cfg["ripple_amplitude"],
-            ripple_wavelength=cfg["ripple_wavelength"],
-        )
-    if kind == "ramp":
-        return RampPatch(
-            x_range=tuple(cfg["x_range"]),
-            y_range=tuple(cfg["y_range"]),
-            base_height=cfg["base_height"],
-            slope_angle=np.radians(cfg["slope_deg"]),
-            azimuth=np.radians(cfg["azimuth_deg"]),
-        )
-    if kind == "spherical_cap":
-        return SphericalCap(
-            center=tuple(cfg["center"]),
-            extent_radius=cfg["extent_radius"],
-            curvature_radius=cfg["curvature_radius"],
-            apex_height=cfg["apex_height"],
-        )
-    origin = cfg["origin"]
-    values = np.asarray(cfg["values"], dtype=float)
-    return HeightField(origin=(origin[0], origin[1]), pitch=cfg["pitch"], values=values)
+    return _SURFACES[cfg["kind"]].build(cfg)
 
 
 def build_world(scenario: Scenario) -> World:
     cfg = scenario.world
-    params = SimParams(**cfg["params"]) if cfg["params"] else SimParams()
-    layers = [build_surface(s) for s in cfg["surfaces"]]
     return World(
-        layers,
+        [build_surface(s) for s in cfg["surfaces"]],
         x_range=tuple(cfg["x_range"]),
         y_range=tuple(cfg["y_range"]),
-        params=params,
+        params=SimParams(**cfg["params"]),
     )
 
 
@@ -781,22 +703,13 @@ def sample_start_xy(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
 
 
 def build_sensor(scenario: Scenario, rng: np.random.Generator) -> ForceTorqueSensor:
-    s = scenario.sensor
-    config = SensorConfig(
-        sample_rate=s["sample_rate"],
-        noise_torque=s["noise_torque"],
-        noise_force=s["noise_force"],
-        bias_torque=tuple(s["bias_torque"]),
-        bias_force=tuple(s["bias_force"]),
-        drift_torque=tuple(s["drift_torque"]),
-        drift_force=tuple(s["drift_force"]),
-    )
-    return ForceTorqueSensor(config, rng=rng)
+    config = SensorConfig(**{k: tuple(v) if isinstance(v, list) else v
+                             for k, v in scenario.sensor.items()})
+    return ForceTorqueSensor(config, rng)
 
 
 def build_window(scenario: Scenario) -> ReadingWindow:
-    return ReadingWindow(settle_time=scenario.window["settle_time"],
-                         average_time=scenario.window["average_time"])
+    return ReadingWindow(**scenario.window)
 
 
 def build_policy(scenario: Scenario) -> PolicyConfig:

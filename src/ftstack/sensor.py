@@ -1,9 +1,9 @@
 """Simulated wrist force-torque sensing.
 
-The sensor owns one RNG stream; its sample counter is the clock, one tick per
-``sample`` call at the configured rate. A tick reads one true wrench, given
-as (3,) torque and force arrays. Noise defaults are tuned artifact choices,
-not measured hardware values.
+The sensor draws its noise from the generator it is given; its sample
+counter is the clock, one tick per ``sample`` call at the configured rate.
+A tick reads one true wrench, given as (3,) torque and force arrays.
+Noise defaults are tuned artifact choices, not measured hardware values.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class SensorConfig:
     bias_force: tuple = (0.0, 0.0, 0.0)
     drift_torque: tuple = (0.0, 0.0, 0.0)  # N*m per second
     drift_force: tuple = (0.0, 0.0, 0.0)   # N per second
-    seed: int = 0
 
     def __post_init__(self):
         if self.sample_rate <= 0.0:
@@ -48,11 +47,11 @@ class ReadingWindow:
 
 
 class ForceTorqueSensor:
-    """Noisy, biased wrench readings, reproducible from (seed, sample index)."""
+    """Noisy, biased wrench readings, reproducible from (rng state, sample index)."""
 
-    def __init__(self, config: SensorConfig, rng: np.random.Generator | None = None):
+    def __init__(self, config: SensorConfig, rng: np.random.Generator):
         self.config = config
-        self._rng = rng if rng is not None else np.random.default_rng(config.seed)
+        self._rng = rng
         self._bias_torque = _as_vec3(config.bias_torque, "bias_torque")
         self._bias_force = _as_vec3(config.bias_force, "bias_force")
         self._drift_torque = _as_vec3(config.drift_torque, "drift_torque")

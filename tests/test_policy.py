@@ -27,7 +27,8 @@ HOVER_Z = 0.1
 
 
 def quiet_sensor(seed=0):
-    return ForceTorqueSensor(SensorConfig(noise_torque=0.0, noise_force=0.0, seed=seed))
+    return ForceTorqueSensor(SensorConfig(noise_torque=0.0, noise_force=0.0),
+                             np.random.default_rng(seed))
 
 
 def make_disk(radius=0.05, thickness=0.02, mass=1.0, **kw):
@@ -86,7 +87,8 @@ class TestCalibration:
         world = World(FlatPlane(0.0))
         world.hold(make_disk(com_offset=np.array([0.006, 0.004, 0.0])))
         config = PolicyConfig()
-        sensor = RecordingSensor(SensorConfig(noise_torque=0.0, noise_force=0.0, seed=0))
+        sensor = RecordingSensor(SensorConfig(noise_torque=0.0, noise_force=0.0),
+                                 np.random.default_rng(0))
         state = calibrated(world, sensor, config)
         assert isinstance(state, Calibration)
         np.testing.assert_allclose(state.hover.force, [0, 0, -9.81], atol=1e-9)
@@ -206,7 +208,7 @@ class TestRunPlacement:
                 raise
 
         monkeypatch.setattr(World, "descend_until_contact", keep_exception)
-        sensor = RecordingSensor(SensorConfig(seed=9))
+        sensor = RecordingSensor(SensorConfig(), np.random.default_rng(9))
         trace = run_placement(world, sensor, state, config, (0.0, 0.0), 0.1)
         assert trace.outcome is PlacementOutcome.NO_CONTACT
         [exc] = raised
@@ -233,9 +235,10 @@ class TestRunPlacement:
             world = World([FlatPlane(0.0), Puck((0.0, 0.0), 0.05, 0.04)])
             world.hold(make_disk())
             config = PolicyConfig()
-            state = calibrated(world, ForceTorqueSensor(SensorConfig(seed=42)), config)
+            state = calibrated(world, ForceTorqueSensor(SensorConfig(), np.random.default_rng(42)),
+                               config)
             return run_placement(
-                world, ForceTorqueSensor(SensorConfig(seed=43)), state, config,
+                world, ForceTorqueSensor(SensorConfig(), np.random.default_rng(43)), state, config,
                 (0.025, -0.01), 0.1,
             )
 
@@ -253,8 +256,8 @@ class RecordingSensor(ForceTorqueSensor):
     """Keeps every tick's true and sampled wrench under the clock reading
     that follows it."""
 
-    def __init__(self, config):
-        super().__init__(config)
+    def __init__(self, config, rng):
+        super().__init__(config, rng)
         self.true_by_time = {}
         self.by_time = {}
 
@@ -277,8 +280,9 @@ class TestDescentRows:
         world.hold(make_disk(com_offset=np.array([0.006, 0.004, 0.0])))
         config = PolicyConfig(max_iterations=3)
         state = calibrated(world, quiet_sensor(), config)
-        sensor = RecordingSensor(SensorConfig(seed=21, bias_torque=(0.02, -0.01, 0.005),
-                                              bias_force=(0.3, 0.1, -0.2)))
+        sensor = RecordingSensor(SensorConfig(bias_torque=(0.02, -0.01, 0.005),
+                                              bias_force=(0.3, 0.1, -0.2)),
+                                 np.random.default_rng(21))
         trace = run_placement(world, sensor, state, config, start_xy, 0.1)
 
         g_wr = com_frame_transform(world.params.wrist_lift)

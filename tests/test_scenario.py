@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from ftstack.scenario import (
     FAMILIES,
@@ -14,16 +15,21 @@ from ftstack.scenario import (
     _EXPECT,
     evaluate_expect,
     _SIM_PARAM_BOUNDS,
+    _SURFACES,
     build_object,
     build_policy,
     build_sensor,
+    build_surface,
     build_window,
     build_world,
     load_scenario,
     sample_start_xy,
     save_scenario,
 )
+from ftstack.policy import PolicyConfig
+from ftstack.sensor import ReadingWindow, SensorConfig
 from ftstack.spatial import Wrench
+from ftstack.surfaces import FlatPlane, HeightField, Puck, RampPatch, SphericalCap
 from ftstack.world import BottomProfile, SimParams, TopProfile, World
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -77,6 +83,101 @@ def minimal_stack() -> dict:
     d = minimal_placement()
     d.update(family="multi_stack", stack={"count": 2})
     return d
+
+
+# complete documents: every surface kind and every optional key, in the
+# canonical key order that save_scenario writes
+FULL_SENSOR = {"sample_rate": 50.0, "noise_force": 0.1, "noise_torque": 0.005,
+               "bias_force": [0.1, 0.0, -0.1], "bias_torque": [0.0, 0.01, 0.0],
+               "drift_force": [0.0, 0.0, 0.01], "drift_torque": [0.001, 0.0, 0.0]}
+FULL_WINDOW = {"settle_time": 0.2, "average_time": 0.4}
+FULL_POLICY = {"resistance_threshold": 8.0, "torque_release_threshold": 0.04, "step_gain": 0.4,
+               "flat_dir_floor": 0.03, "raise_height": 0.015, "force_floor": 0.5,
+               "max_iterations": 8, "workspace_limit": 0.25, "repress_scale": 2.0}
+FULL_OBJECT = {"mass": 1.0, "footprint": {"kind": "disk", "size": 0.05}, "thickness": 0.02,
+               "com_offset": [0.01, 0.0, 0.0],
+               "bottom": {"kind": "dome", "curvature_radius": 0.3},
+               "top": {"kind": "undulating", "amplitude": 0.001, "wavelength": 0.03},
+               "tip_to_bottom": 0.05}
+# surface kind -> (a complete surface of that kind, the layer it builds)
+FULL_SURFACES = {
+    "flat": ({"kind": "flat", "height": 0.0}, FlatPlane),
+    "puck": ({"kind": "puck", "center": [0.0, 0.0], "radius": 0.05, "top_height": 0.04,
+              "ripple_amplitude": 0.0005, "ripple_wavelength": 0.01}, Puck),
+    "ramp": ({"kind": "ramp", "x_range": [-0.25, -0.1], "y_range": [-0.05, 0.25],
+              "slope_deg": 15.0, "base_height": 0.02, "azimuth_deg": 90.0}, RampPatch),
+    "spherical_cap": ({"kind": "spherical_cap", "center": [0.1, 0.1], "extent_radius": 0.03,
+                       "curvature_radius": 0.2, "apex_height": 0.03}, SphericalCap),
+    "height_field": ({"kind": "height_field", "origin": [-0.1, -0.2], "pitch": 0.01,
+                      "values": [[0.0, 0.01], [0.02, 0.0]]}, HeightField),
+}
+
+
+def _full(name, family, seed, trials, **sections) -> dict:
+    common = {"sensor": FULL_SENSOR, "window": FULL_WINDOW, "policy": FULL_POLICY}
+    doc = {"schema_version": 1, "name": name, "family": family, "seed": seed, "trials": trials}
+    if family != "finger_press":
+        doc["world"] = {"x_range": [-0.25, 0.25], "y_range": [-0.2, 0.3],
+                        "surfaces": [s for s, _ in FULL_SURFACES.values()],
+                        "params": {"spring_k": 5000.0, "descent_step": 0.0005}}
+        doc["object"] = FULL_OBJECT
+    return copy.deepcopy({**doc, **common, **sections})
+
+
+def full_placement() -> dict:
+    return _full("full_placement", "offset_recovery", 4, 2,
+                 placement={"start_xy": [0.02, 0.0],
+                            "guess_sampler": {"radius": [0.0, 0.01], "axis_aligned": False},
+                            "hover_tip_z": 0.12, "calibration_xy": [0.2, -0.2],
+                            "stable_xy": [0.0, 0.0]},
+                 expect={"min_success_rate": 0.5, "min_oneshot_rate": 0.5,
+                         "max_iterations_per_trial": 8, "all_outcome": "released_stable",
+                         "oneshot_tolerance": 0.01})
+
+
+def full_stack() -> dict:
+    return _full("full_stack", "multi_stack", 6, 1,
+                 object={"mass": 1.0, "footprint": {"kind": "square", "size": 0.05},
+                         "thickness": 0.006,
+                         "com_offset_sampler": {"radius": [0.0, 0.005], "axis_aligned": True},
+                         "bottom": {"kind": "flat"}, "top": {"kind": "flat"},
+                         "tip_to_bottom": 0.02},
+                 stack={"count": 3, "perturbation_limit": 0.005, "target_xy": [0.01, 0.0],
+                        "calibration_xy": [0.2, -0.2], "hover_tip_z": 0.12,
+                        "approach_clearance": 0.02},
+                 expect={"min_success_rate": 1.0, "min_placed": 3})
+
+
+def full_sweep() -> dict:
+    return _full("full_sweep", "noise_sweep", 3, 4,
+                 sweep={"center": [0.0, 0.0], "magnitudes": [0.0, 0.01], "directions": 2,
+                        "repeats": 1, "hover_tip_z": 0.12, "calibration_xy": [0.2, -0.2]},
+                 expect={"median_below_deg": 30.0, "at_or_above_offset": 0.01,
+                         "median_above_deg": 60.0, "at_or_below_offset": 0.0,
+                         "monotone_slack_deg": 5.0})
+
+
+def full_press() -> dict:
+    return _full("full_press", "finger_press", 5, 3,
+                 press={"mass": 1.0, "offset_radius": 0.1, "gravity": 9.81,
+                        "torques": {"min": 1.0, "max": 30.0, "spacing": "log"}},
+                 expect={"max_direction_error_deg": 5.0})
+
+
+DELETE = object()
+
+
+def _set(doc: dict, path: str, value) -> dict:
+    """The document with the dotted key path (digits index lists) set or deleted."""
+    *parents, last = [int(p) if p.isdigit() else p for p in path.split(".")]
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
 
 
 class TestShippedFiles:
@@ -320,6 +421,322 @@ class TestValidation:
         bad.write_text("name: [unclosed\n")
         with pytest.raises(ScenarioError, match="not parseable YAML"):
             load_scenario(bad)
+
+
+class TestKeyTables:
+    """Every section key: its fault messages, defaults, nulls and round trip."""
+
+    @pytest.mark.parametrize("make, path, value, message", [
+    (full_placement, "world.surfaces", DELETE,
+     "scenario.world: missing required key 'surfaces'"),
+    (full_placement, "world.surfaces", {},
+     "scenario.world.surfaces: expected a non-empty list"),
+    (full_placement, "world.x_range", [0.1, -0.1],
+     "scenario.world.x_range: range must be ascending, got [0.1, -0.1]"),
+    (full_placement, "world.y_range", [0.0],
+     "scenario.world.y_range: expected a list of 2 numbers, got [0.0]"),
+    (full_placement, "world.params", [],
+     "scenario.world.params: expected a mapping, got list"),
+    (full_placement, "world.params.spring_k", "stiff",
+     "scenario.world.params.spring_k: expected a number, got 'stiff'"),
+    (full_placement, "world.params.bogus", 1.0,
+     "scenario.world.params.bogus: unknown key"),
+    (full_placement, "world.bogus", 1.0,
+     "scenario.world.bogus: unknown key"),
+    (full_placement, "world.surfaces.0.kind", "lake",
+     "scenario.world.surfaces[0].kind: expected one of "
+     "['flat', 'puck', 'ramp', 'spherical_cap', 'height_field'], got 'lake'"),
+    (full_placement, "world.surfaces.0.height", float("nan"),
+     "scenario.world.surfaces[0].height: must be finite"),
+    (full_placement, "world.surfaces.0.bogus", 1.0,
+     "scenario.world.surfaces[0].bogus: unknown key"),
+    (full_placement, "world.surfaces.1.center", [0.0, 0.0, 0.0],
+     "scenario.world.surfaces[1].center: expected a list of 2 numbers, got [0.0, 0.0, 0.0]"),
+    (full_placement, "world.surfaces.1.radius", 0.0,
+     "scenario.world.surfaces[1].radius: must be > 0.0, got 0.0"),
+    (full_placement, "world.surfaces.1.top_height", DELETE,
+     "scenario.world.surfaces[1]: missing required key 'top_height'"),
+    (full_placement, "world.surfaces.1.ripple_amplitude", -0.001,
+     "scenario.world.surfaces[1].ripple_amplitude: must be >= 0.0, got -0.001"),
+    (full_placement, "world.surfaces.1.ripple_wavelength", 0.0,
+     "scenario.world.surfaces[1].ripple_wavelength: must be > 0.0, got 0.0"),
+    (full_placement, "world.surfaces.2.x_range", [0.1, 0.1],
+     "scenario.world.surfaces[2].x_range: range must be ascending, got [0.1, 0.1]"),
+    (full_placement, "world.surfaces.2.y_range", "wide",
+     "scenario.world.surfaces[2].y_range: expected a list of 2 numbers, got 'wide'"),
+    (full_placement, "world.surfaces.2.slope_deg", 90.0,
+     "scenario.world.surfaces[2].slope_deg: must be <= 89.0, got 90.0"),
+    (full_placement, "world.surfaces.2.base_height", True,
+     "scenario.world.surfaces[2].base_height: expected a number, got True"),
+    (full_placement, "world.surfaces.2.azimuth_deg", None,
+     "scenario.world.surfaces[2].azimuth_deg: expected a number, got None"),
+    (full_placement, "world.surfaces.3.center", DELETE,
+     "scenario.world.surfaces[3]: missing required key 'center'"),
+    (full_placement, "world.surfaces.3.extent_radius", -0.03,
+     "scenario.world.surfaces[3].extent_radius: must be > 0.0, got -0.03"),
+    (full_placement, "world.surfaces.3.curvature_radius", 0.03,
+     "scenario.world.surfaces[3].curvature_radius: must be > 0.03, got 0.03"),
+    (full_placement, "world.surfaces.3.apex_height", "high",
+     "scenario.world.surfaces[3].apex_height: expected a number, got 'high'"),
+    (full_placement, "world.surfaces.3.ripple_amplitude", 0.001,
+     "scenario.world.surfaces[3].ripple_amplitude: unknown key"),
+    (full_placement, "world.surfaces.4.origin", [0.0, "a"],
+     "scenario.world.surfaces[4].origin[1]: expected a number, got 'a'"),
+    (full_placement, "world.surfaces.4.pitch", -0.01,
+     "scenario.world.surfaces[4].pitch: must be > 0.0, got -0.01"),
+    (full_placement, "world.surfaces.4.values", [[0.0, 0.01], [0.02]],
+     "scenario.world.surfaces[4].values: expected a non-empty rectangular list of rows"),
+    (full_placement, "world.surfaces.4.values.1.0", float("inf"),
+     "scenario.world.surfaces[4].values[1][0]: must be finite"),
+    (full_placement, "object.mass", DELETE,
+     "scenario.object: missing required key 'mass'"),
+    (full_placement, "object.mass", -1.0,
+     "scenario.object.mass: must be > 0.0, got -1.0"),
+    (full_placement, "object.footprint", "disk",
+     "scenario.object.footprint: expected a mapping, got str"),
+    (full_placement, "object.footprint.kind", "hexagon",
+     "scenario.object.footprint.kind: expected one of ['disk', 'square'], got 'hexagon'"),
+    (full_placement, "object.footprint.size", 0.0,
+     "scenario.object.footprint.size: must be > 0.0, got 0.0"),
+    (full_placement, "object.footprint.bogus", 1.0,
+     "scenario.object.footprint.bogus: unknown key"),
+    (full_placement, "object.thickness", "thin",
+     "scenario.object.thickness: expected a number, got 'thin'"),
+    (full_placement, "object.com_offset", [0.0, 0.0],
+     "scenario.object.com_offset: expected a list of 3 numbers, got [0.0, 0.0]"),
+    (full_placement, "object.com_offset_sampler", {'radius': [0.0, 0.01]},
+     "scenario.object: give com_offset or com_offset_sampler, not both"),
+    (full_stack, "object.com_offset_sampler.radius", [0.02, 0.01],
+     "scenario.object.com_offset_sampler.radius: need 0 <= lo <= hi, got [0.02, 0.01]"),
+    (full_stack, "object.com_offset_sampler.radius", DELETE,
+     "scenario.object.com_offset_sampler: missing required key 'radius'"),
+    (full_stack, "object.com_offset_sampler.axis_aligned", 1,
+     "scenario.object.com_offset_sampler.axis_aligned: expected a boolean, got 1"),
+    (full_stack, "object.com_offset_sampler.bogus", 1,
+     "scenario.object.com_offset_sampler.bogus: unknown key"),
+    (full_placement, "object.bottom.kind", "cone",
+     "scenario.object.bottom.kind: expected one of ['flat', 'dome'], got 'cone'"),
+    (full_placement, "object.bottom.curvature_radius", 0.0,
+     "scenario.object.bottom.curvature_radius: must be > 0.0, got 0.0"),
+    (full_placement, "object.top", [1.0],
+     "scenario.object.top: expected a mapping, got list"),
+    (full_placement, "object.top.amplitude", DELETE,
+     "scenario.object.top.amplitude: expected a number, got None"),
+    (full_placement, "object.top.wavelength", -0.03,
+     "scenario.object.top.wavelength: must be > 0.0, got -0.03"),
+    (full_placement, "object.tip_to_bottom", 0.0,
+     "scenario.object.tip_to_bottom: must be > 0.0, got 0.0"),
+    (full_placement, "object.tip_to_bottom", "long",
+     "scenario.object.tip_to_bottom: expected a number, got 'long'"),
+    (full_placement, "object.bogus", 1.0,
+     "scenario.object.bogus: unknown key"),
+    (full_placement, "sensor.sample_rate", 0.0,
+     "scenario.sensor.sample_rate: must be > 0.0, got 0.0"),
+    (full_placement, "sensor.noise_force", -0.1,
+     "scenario.sensor.noise_force: must be >= 0.0, got -0.1"),
+    (full_placement, "sensor.noise_torque", "loud",
+     "scenario.sensor.noise_torque: expected a number, got 'loud'"),
+    (full_placement, "sensor.bias_force", [0.0, 0.0],
+     "scenario.sensor.bias_force: expected a list of 3 numbers, got [0.0, 0.0]"),
+    (full_placement, "sensor.bias_torque", 0.0,
+     "scenario.sensor.bias_torque: expected a list of 3 numbers, got 0.0"),
+    (full_placement, "sensor.drift_force", [0.0, float("nan"), 0.0],
+     "scenario.sensor.drift_force[1]: must be finite"),
+    (full_placement, "sensor.drift_torque", None,
+     "scenario.sensor.drift_torque: expected a list of 3 numbers, got None"),
+    (full_placement, "sensor.seed", 3,
+     "scenario.sensor.seed: unknown key"),
+    (full_placement, "sensor", [1.0],
+     "scenario.sensor: expected a mapping, got list"),
+    (full_placement, "window.settle_time", -0.1,
+     "scenario.window.settle_time: must be >= 0.0, got -0.1"),
+    (full_placement, "window.average_time", 0.0,
+     "scenario.window.average_time: must be > 0.0, got 0.0"),
+    (full_placement, "window.bogus", 1.0,
+     "scenario.window.bogus: unknown key"),
+    (full_placement, "policy.resistance_threshold", 0.0,
+     "scenario.policy.resistance_threshold: must be > 0.0, got 0.0"),
+    (full_placement, "policy.torque_release_threshold", -0.05,
+     "scenario.policy.torque_release_threshold: must be > 0.0, got -0.05"),
+    (full_placement, "policy.step_gain", -0.5,
+     "scenario.policy.step_gain: must be >= 0.0, got -0.5"),
+    (full_placement, "policy.flat_dir_floor", "low",
+     "scenario.policy.flat_dir_floor: expected a number, got 'low'"),
+    (full_placement, "policy.raise_height", -0.02,
+     "scenario.policy.raise_height: must be >= 0.0, got -0.02"),
+    (full_placement, "policy.force_floor", 0.0,
+     "scenario.policy.force_floor: must be > 0.0, got 0.0"),
+    (full_placement, "policy.max_iterations", 0,
+     "scenario.policy.max_iterations: must be >= 1, got 0"),
+    (full_placement, "policy.max_iterations", 2.5,
+     "scenario.policy.max_iterations: expected an integer, got 2.5"),
+    (full_placement, "policy.workspace_limit", 0.0,
+     "scenario.policy.workspace_limit: must be > 0.0, got 0.0"),
+    (full_placement, "policy.repress_scale", 1.0,
+     "scenario.policy.repress_scale: must be > 1.0, got 1.0"),
+    (full_placement, "policy.bogus", 1.0,
+     "scenario.policy.bogus: unknown key"),
+    (full_placement, "placement.start_xy", [0.0],
+     "scenario.placement.start_xy: expected a list of 2 numbers, got [0.0]"),
+    (full_placement, "placement.guess_sampler", [0.0, 0.01],
+     "scenario.placement.guess_sampler: expected a mapping, got list"),
+    (full_placement, "placement.guess_sampler.radius", [-0.01, 0.01],
+     "scenario.placement.guess_sampler.radius: need 0 <= lo <= hi, got [-0.01, 0.01]"),
+    (full_placement, "placement.hover_tip_z", "up",
+     "scenario.placement.hover_tip_z: expected a number, got 'up'"),
+    (full_placement, "placement.calibration_xy", None,
+     "scenario.placement.calibration_xy: expected a list of 2 numbers, got None"),
+    (full_placement, "placement.stable_xy", [0.0, 0.0, 0.0],
+     "scenario.placement.stable_xy: expected a list of 2 numbers, got [0.0, 0.0, 0.0]"),
+    (full_placement, "placement.bogus", 1.0,
+     "scenario.placement.bogus: unknown key"),
+    (full_stack, "stack.count", DELETE,
+     "scenario.stack: missing required key 'count'"),
+    (full_stack, "stack.count", 0,
+     "scenario.stack.count: must be >= 1, got 0"),
+    (full_stack, "stack.perturbation_limit", -0.01,
+     "scenario.stack.perturbation_limit: must be >= 0.0, got -0.01"),
+    (full_stack, "stack.target_xy", "centre",
+     "scenario.stack.target_xy: expected a list of 2 numbers, got 'centre'"),
+    (full_stack, "stack.calibration_xy", [0.15, -0.15, 0.0],
+     "scenario.stack.calibration_xy: expected a list of 2 numbers, got [0.15, -0.15, 0.0]"),
+    (full_stack, "stack.hover_tip_z", None,
+     "scenario.stack.hover_tip_z: expected a number, got None"),
+    (full_stack, "stack.approach_clearance", 0.0,
+     "scenario.stack.approach_clearance: must be > 0.0, got 0.0"),
+    (full_stack, "stack.bogus", 1.0,
+     "scenario.stack.bogus: unknown key"),
+    (full_sweep, "sweep.center", [0.0],
+     "scenario.sweep.center: expected a list of 2 numbers, got [0.0]"),
+    (full_sweep, "sweep.magnitudes", DELETE,
+     "scenario.sweep: missing required key 'magnitudes'"),
+    (full_sweep, "sweep.magnitudes", [],
+     "scenario.sweep.magnitudes: expected a non-empty list"),
+    (full_sweep, "sweep.magnitudes", [0.01, 0.0],
+     "scenario.sweep.magnitudes: must be strictly increasing"),
+    (full_sweep, "sweep.magnitudes.0", -0.01,
+     "scenario.sweep.magnitudes[0]: must be >= 0.0, got -0.01"),
+    (full_sweep, "sweep.directions", 0,
+     "scenario.sweep.directions: must be >= 1, got 0"),
+    (full_sweep, "sweep.repeats", 1.0,
+     "scenario.sweep.repeats: expected an integer, got 1.0"),
+    (full_sweep, "sweep.hover_tip_z", float("inf"),
+     "scenario.sweep.hover_tip_z: must be finite"),
+    (full_sweep, "sweep.calibration_xy", {},
+     "scenario.sweep.calibration_xy: expected a list of 2 numbers, got {}"),
+    (full_sweep, "sweep.bogus", 1.0,
+     "scenario.sweep.bogus: unknown key"),
+    (full_press, "press.offset_radius", DELETE,
+     "scenario.press: missing required key 'offset_radius'"),
+    (full_press, "press.offset_radius", 0.0,
+     "scenario.press.offset_radius: must be > 0.0, got 0.0"),
+    (full_press, "press.mass", -1.0,
+     "scenario.press.mass: must be > 0.0, got -1.0"),
+    (full_press, "press.gravity", "down",
+     "scenario.press.gravity: expected a number, got 'down'"),
+    (full_press, "press.torques", [],
+     "scenario.press.torques: expected a non-empty list"),
+    (full_press, "press.torques", [1.0, -2.0, 3.0],
+     "scenario.press.torques[1]: must be >= 0.0, got -2.0"),
+    (full_press, "press.torques", "many",
+     "scenario.press.torques: expected a mapping, got str"),
+    (full_press, "press.torques.min", DELETE,
+     "scenario.press.torques: missing required key 'min'"),
+    (full_press, "press.torques.min", 0.0,
+     "scenario.press.torques.min: log spacing needs min > 0"),
+    (full_press, "press.torques.max", 1.0,
+     "scenario.press.torques.max: must be > 1.0, got 1.0"),
+    (full_press, "press.torques.spacing", "cubic",
+     "scenario.press.torques.spacing: expected one of ['linear', 'log'], got 'cubic'"),
+    (full_press, "press.torques.bogus", 1.0,
+     "scenario.press.torques.bogus: unknown key"),
+    (full_press, "press.bogus", 1.0,
+     "scenario.press.bogus: unknown key"),
+
+    ])
+    def test_single_fault(self, make, path, value, message):
+        with pytest.raises(ScenarioError) as caught:
+            Scenario.from_dict(_set(make(), path, value))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("make, section, given, canonical", [
+        (minimal_placement, "world",
+         {"surfaces": [{"kind": "flat"},
+                       {"kind": "puck", "center": [0, 0], "radius": 0.05, "top_height": 0.04},
+                       {"kind": "ramp", "x_range": [-1, 1], "y_range": [0, 1], "slope_deg": 5}]},
+         {"x_range": [-0.3, 0.3], "y_range": [-0.3, 0.3], "params": {},
+          "surfaces": [{"kind": "flat", "height": 0.0},
+                       {"kind": "puck", "center": [0.0, 0.0], "radius": 0.05,
+                        "top_height": 0.04, "ripple_amplitude": 0.0, "ripple_wavelength": 0.02},
+                       {"kind": "ramp", "x_range": [-1.0, 1.0], "y_range": [0.0, 1.0],
+                        "slope_deg": 5.0, "base_height": 0.0, "azimuth_deg": 0.0}]}),
+        (minimal_placement, "object",
+         {"mass": 1, "footprint": {"kind": "disk", "size": 0.05}, "thickness": 0.02,
+          "com_offset_sampler": {"radius": [0, 0.01]}},
+         {"mass": 1.0, "footprint": {"kind": "disk", "size": 0.05}, "thickness": 0.02,
+          "com_offset": [0.0, 0.0, 0.0],
+          "com_offset_sampler": {"radius": [0.0, 0.01], "axis_aligned": False},
+          "bottom": {"kind": "flat"}, "top": {"kind": "flat"}, "tip_to_bottom": None}),
+        (minimal_placement, "placement", {},
+         {"start_xy": [0.0, 0.0], "guess_sampler": None, "hover_tip_z": 0.1,
+          "calibration_xy": [0.15, -0.15], "stable_xy": None}),
+        (minimal_stack, "stack", {"count": 2},
+         {"count": 2, "perturbation_limit": 0.01, "target_xy": [0.0, 0.0],
+          "calibration_xy": [0.15, -0.15], "hover_tip_z": 0.1, "approach_clearance": 0.01}),
+        (minimal_sweep, "sweep", {"magnitudes": [0, 0.01, 0.02]},
+         {"center": [0.0, 0.0], "magnitudes": [0.0, 0.01, 0.02], "directions": 8,
+          "repeats": 6, "hover_tip_z": 0.1, "calibration_xy": [0.15, -0.15]}),
+        (minimal_press, "press", {"offset_radius": 0.1},
+         {"mass": 1.0, "offset_radius": 0.1, "gravity": 9.81,
+          "torques": {"min": 1.0, "max": 30.0, "spacing": "linear"}}),
+    ])
+    def test_defaults_fill_the_canonical_section(self, make, section, given, canonical):
+        d = make()
+        d[section] = given
+        if section == "sweep":
+            d["trials"] = 3 * 8 * 6
+        parsed = Scenario.from_dict(d)
+        assert getattr(parsed, "obj" if section == "object" else section) == canonical
+
+    @pytest.mark.parametrize("section, config", [
+        ("sensor", SensorConfig), ("window", ReadingWindow), ("policy", PolicyConfig),
+    ])
+    def test_config_sections_cover_their_fields(self, section, config):
+        canonical = getattr(Scenario.from_dict(minimal_placement()), section)
+        assert set(canonical) == {f.name for f in dataclasses.fields(config)}
+        default = config()
+        for key, value in canonical.items():
+            want = getattr(default, key)
+            assert value == (list(want) if isinstance(want, tuple) else want), key
+
+    def test_every_surface_kind_builds_its_layer(self):
+        assert set(FULL_SURFACES) == set(_SURFACES)
+        d = minimal_placement()
+        d["world"]["surfaces"] = [s for s, _ in FULL_SURFACES.values()]
+        parsed = Scenario.from_dict(d).world["surfaces"]
+        for cfg, (_, layer) in zip(parsed, FULL_SURFACES.values()):
+            assert type(build_surface(cfg)) is layer, cfg["kind"]
+
+    @pytest.mark.parametrize("make, path", [
+        (full_placement, "placement.guess_sampler"),
+        (full_placement, "placement.stable_xy"),
+        (full_stack, "object.com_offset_sampler"),
+        (full_placement, "object.tip_to_bottom"),
+    ])
+    def test_null_means_absent(self, make, path):
+        d = make()
+        d["expect"] = {}
+        absent = Scenario.from_dict(_set(copy.deepcopy(d), path, DELETE))
+        assert Scenario.from_dict(_set(d, path, None)) == absent
+
+    @pytest.mark.parametrize("make", [full_placement, full_stack, full_sweep, full_press])
+    def test_complete_documents_round_trip(self, make, tmp_path):
+        doc = make()
+        scenario = Scenario.from_dict(doc)
+        assert (yaml.safe_dump(scenario.to_dict(), sort_keys=False)
+                == yaml.safe_dump(doc, sort_keys=False))
+        save_scenario(scenario, tmp_path / "copy.yaml")
+        assert load_scenario(tmp_path / "copy.yaml") == scenario
 
 
 class TestBuilders:

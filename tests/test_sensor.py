@@ -34,21 +34,21 @@ def reference_sample(config, rng, true_torque, true_force, index):
 
 class TestSampling:
     def test_same_seed_same_stream(self):
-        a = ForceTorqueSensor(SensorConfig(seed=42))
-        b = ForceTorqueSensor(SensorConfig(seed=42))
+        a = ForceTorqueSensor(SensorConfig(), np.random.default_rng(42))
+        b = ForceTorqueSensor(SensorConfig(), np.random.default_rng(42))
         for _ in range(50):
             (ta, fa), (tb, fb) = read(a), read(b)
             np.testing.assert_array_equal(ta, tb)
             np.testing.assert_array_equal(fa, fb)
 
     def test_different_seed_differs(self):
-        _, fa = read(ForceTorqueSensor(SensorConfig(seed=1)))
-        _, fb = read(ForceTorqueSensor(SensorConfig(seed=2)))
+        _, fa = read(ForceTorqueSensor(SensorConfig(), np.random.default_rng(1)))
+        _, fb = read(ForceTorqueSensor(SensorConfig(), np.random.default_rng(2)))
         assert not np.array_equal(fa, fb)
 
     def test_zero_noise_is_exact_but_advances_stream(self):
-        quiet = SensorConfig(noise_torque=0.0, noise_force=0.0, seed=9)
-        s = ForceTorqueSensor(quiet)
+        quiet = SensorConfig(noise_torque=0.0, noise_force=0.0)
+        s = ForceTorqueSensor(quiet, np.random.default_rng(9))
         torque, force = read(s)
         np.testing.assert_array_equal(force, HOVER.force)
         np.testing.assert_array_equal(torque, HOVER.torque)
@@ -58,7 +58,7 @@ class TestSampling:
     def test_matches_the_per_tick_arithmetic_bit_for_bit(self, noise):
         cfg = SensorConfig(bias_torque=(0.02, -0.01, 0.0), bias_force=(0.5, -0.3, 1.2),
                            drift_torque=(0.001, 0.0, -0.002),
-                           drift_force=(0.0, 0.1, -0.05), seed=4, **noise)
+                           drift_force=(0.0, 0.1, -0.05), **noise)
         rng = np.random.default_rng(11)
         sensor = ForceTorqueSensor(cfg, np.random.default_rng(11))
         true = np.random.default_rng(5).normal(size=(30, 2, 3))
@@ -75,7 +75,7 @@ class TestSampling:
 
     def test_noise_std_matches_config(self):
         # 4000 samples put the sample std within a few percent of sigma
-        s = ForceTorqueSensor(SensorConfig(seed=3))
+        s = ForceTorqueSensor(SensorConfig(), np.random.default_rng(3))
         readings = np.array([read(s)[1] for _ in range(4000)])
         std = readings.std(axis=0)
         np.testing.assert_allclose(std, 0.25, rtol=0.05)
@@ -83,8 +83,8 @@ class TestSampling:
     def test_bias_and_drift_applied(self):
         cfg = SensorConfig(noise_torque=0.0, noise_force=0.0,
                            bias_force=(0.5, 0.0, 0.0),
-                           drift_force=(0.0, 0.1, 0.0), seed=0)
-        s = ForceTorqueSensor(cfg)
+                           drift_force=(0.0, 0.1, 0.0))
+        s = ForceTorqueSensor(cfg, np.random.default_rng(0))
         _, first = read(s)
         assert first[0] == pytest.approx(0.5)
         assert first[1] == pytest.approx(0.0)  # t = 0 at the first draw
@@ -94,7 +94,7 @@ class TestSampling:
         assert later[1] == pytest.approx(0.1)
 
     def test_clock_is_index_over_rate(self):
-        s = ForceTorqueSensor(SensorConfig(sample_rate=50.0))
+        s = ForceTorqueSensor(SensorConfig(sample_rate=50.0), np.random.default_rng(0))
         for _ in range(10):
             read(s)
         assert s.time == pytest.approx(0.2)
@@ -103,15 +103,14 @@ class TestSampling:
 class TestWindows:
     def test_default_window_consumes_two_plus_twelve_samples(self):
         # 0.1 s settle -> floor(2.5) = 2 discarded; 0.5 s -> floor(12.5) = 12
-        s = ForceTorqueSensor(SensorConfig(seed=5))
+        s = ForceTorqueSensor(SensorConfig(), np.random.default_rng(5))
         s.settle_and_average(HOVER, ReadingWindow())
         assert s._samples == 14
 
     def test_average_matches_the_per_tick_sum_bit_for_bit(self):
-        cfg = SensorConfig(bias_force=(0.5, -0.3, 1.2), drift_torque=(0.001, 0.0, -0.002),
-                           seed=8)
+        cfg = SensorConfig(bias_force=(0.5, -0.3, 1.2), drift_torque=(0.001, 0.0, -0.002))
         rng = np.random.default_rng(8)
-        s = ForceTorqueSensor(cfg)
+        s = ForceTorqueSensor(cfg, np.random.default_rng(8))
         reading = s.settle_and_average(HOVER, ReadingWindow())
         ticks = [reference_sample(cfg, rng, HOVER.torque, HOVER.force, i) for i in range(14)]
         acc_tau, acc_f = np.zeros(3), np.zeros(3)
@@ -124,8 +123,7 @@ class TestWindows:
         assert s._rng.bit_generator.state == rng.bit_generator.state
 
     def test_averaging_shrinks_noise(self):
-        cfg = SensorConfig(seed=6)
-        s = ForceTorqueSensor(cfg)
+        s = ForceTorqueSensor(SensorConfig(), np.random.default_rng(6))
         window = ReadingWindow(settle_time=0.0, average_time=0.48)  # 12 samples
         means = np.array(
             [s.settle_and_average(HOVER, window).force for _ in range(400)]
@@ -134,7 +132,7 @@ class TestWindows:
         np.testing.assert_allclose(std, 0.25 / np.sqrt(12), rtol=0.12)
 
     def test_empty_window_rejected(self):
-        s = ForceTorqueSensor(SensorConfig())
+        s = ForceTorqueSensor(SensorConfig(), np.random.default_rng(0))
         with pytest.raises(InsufficientSamples):
             s.settle_and_average(HOVER, ReadingWindow(average_time=0.01))
 
@@ -150,7 +148,8 @@ class TestCalibration:
         world = World(FlatPlane(0.0))
         world.hold(HeldObject(mass=1.0, footprint=Footprint("disk", 0.05), thickness=0.02))
         sensor = ForceTorqueSensor(SensorConfig(noise_torque=0.0, noise_force=0.0,
-                                                bias_force=(0.0, 0.0, 20.0)))
+                                                bias_force=(0.0, 0.0, 20.0)),
+                                   np.random.default_rng(0))
 
         def no_descent(*args, **kwargs):
             raise AssertionError("the flat press ran before the hover check")
@@ -167,13 +166,13 @@ class TestCalibration:
         # match the bias-free sensor exactly when noise is off
         biased = SensorConfig(noise_torque=0.0, noise_force=0.0,
                               bias_torque=(0.02, -0.01, 0.03),
-                              bias_force=(1.0, -2.0, 0.5), seed=0)
-        clean = SensorConfig(noise_torque=0.0, noise_force=0.0, seed=0)
+                              bias_force=(1.0, -2.0, 0.5))
+        clean = SensorConfig(noise_torque=0.0, noise_force=0.0)
         press = Wrench((0.0, 0.2, 0.0), (0.0, 0.0, 0.19), frame=FrameId.WRIST)
         window = ReadingWindow()
 
         def differenced(cfg):
-            s = ForceTorqueSensor(cfg)
+            s = ForceTorqueSensor(cfg, np.random.default_rng(0))
             hover = s.settle_and_average(HOVER, window)
             read = s.settle_and_average(press, window)
             return read.torque - hover.torque, read.force - hover.force
