@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -330,6 +329,8 @@ def _run_trials(scenario: Scenario, jobs: int) -> list[dict]:
     trials = range(scenario.trials)
     if jobs <= 1:
         return [runner(scenario, t) for t in trials]
+    from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         # map preserves order, so results land by trial index
         return list(pool.map(runner, repeat(scenario), trials))

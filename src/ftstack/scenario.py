@@ -28,6 +28,10 @@ from .world import (
 )
 
 SCHEMA_VERSION = 1
+# most samples a window's settle or averaging span may take: 1 kHz for 1000 s
+MAX_WINDOW_SAMPLES = 1_000_000
+# libyaml's parser when PyYAML has it: the documents yaml.safe_load gives, faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # the families that place one object; they read the same sections and expect keys
 _PLACEMENT_FAMILIES = ("zero_offset", "offset_recovery", "ramp")
@@ -599,7 +603,12 @@ class Scenario:
             sections[key] = _SECTION_PARSERS[key](value, f"scenario.{key}")
 
         # the sensor's own expression, so a window it would refuse fails here
-        average, rate = sections["window"]["average_time"], sections["sensor"]["sample_rate"]
+        rate = sections["sensor"]["sample_rate"]
+        for key, span in sections["window"].items():
+            if np.floor(span * rate) > MAX_WINDOW_SAMPLES:  # an overflow to inf too
+                _fail(f"scenario.window.{key}", f"window of {span} s takes more than "
+                      f"{MAX_WINDOW_SAMPLES} samples at {rate} Hz")
+        average = sections["window"]["average_time"]
         if int(np.floor(average * rate)) < 1:
             _fail("scenario.window.average_time",
                   f"window of {average} s yields no samples at {rate} Hz")
@@ -636,7 +645,7 @@ class Scenario:
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"{path}: not parseable YAML ({exc})") from exc
     return Scenario.from_dict(data)

@@ -14,10 +14,10 @@ the gravity wrench plus the contact wrench about the wrist origin.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .spatial import FrameId, Wrench, cross
 from .surfaces import NO_SURFACE, HeightField, LayeredSurface
@@ -389,12 +389,9 @@ class World:
         pts = contact.contact_patch[:, :2]
         margin = self.params.stability_margin
         if pts.shape[0] >= 3:
-            extremes = _column_extremes(pts)
-            try:
-                hull = ConvexHull(extremes)
-            except QhullError:
+            verts = _convex_hull(_column_extremes(pts))  # counter-clockwise
+            if verts is None:
                 return _distance_to_point_set(com, pts) <= margin
-            verts = extremes[hull.vertices]  # counter-clockwise
             edges = np.roll(verts, -1, axis=0) - verts
             rel = com[None, :] - verts
             inward = edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]
@@ -449,6 +446,49 @@ def _column_extremes(pts: np.ndarray) -> np.ndarray:
     new_column = xs[1:] != xs[:-1]
     keep = np.concatenate([[True], new_column]) | np.concatenate([new_column, [True]])
     return pts[keep]
+
+
+# m; a middle point this close to the chord between its hull neighbours is
+# not a vertex, so rim points that roundoff alone takes off a straight edge
+# merge into it, as they do in qhull
+_COLLINEAR_TOL = 1e-12
+
+
+def _convex_hull(extremes: np.ndarray) -> np.ndarray | None:
+    """Counter-clockwise hull vertices of ``_column_extremes`` rows, or None
+    when fewer than 3 are left, as for a point or collinear set.
+
+    Andrew's monotone chain: the rows are sorted by (x, y), so the lower
+    hull is the chain over each column's lowest row, left to right, and the
+    upper hull the chain over each column's highest row, right to left.
+    """
+    xs = extremes[:, 0]
+    new_column = xs[1:] != xs[:-1]
+    lower = _left_turn_chain(extremes[np.concatenate([[True], new_column])])
+    upper = _left_turn_chain(extremes[np.concatenate([new_column, [True]])][::-1])
+    # a column of one row ends one chain and starts the other
+    if lower[-1] == upper[0]:
+        del upper[0]
+    if upper and upper[-1] == lower[0]:
+        del upper[-1]
+    hull = lower + upper
+    return np.array(hull) if len(hull) >= 3 else None
+
+
+def _left_turn_chain(rows: np.ndarray) -> list:
+    """The rows, in order, less each middle row that lies left of, or within
+    ``_COLLINEAR_TOL`` of, the chord from the kept row before it to the next
+    row: the chain turns left at every row it keeps."""
+    out = []
+    for bx, by in rows.tolist():
+        while len(out) >= 2:
+            (ox, oy), (ax, ay) = out[-2], out[-1]
+            dx, dy = bx - ox, by - oy
+            if (ax - ox) * dy - (ay - oy) * dx > _COLLINEAR_TOL * math.sqrt(dx * dx + dy * dy):
+                break
+            out.pop()
+        out.append((bx, by))
+    return out
 
 
 def _distance_to_point_set(p: np.ndarray, pts: np.ndarray) -> float:

@@ -2,14 +2,17 @@
 
 import copy
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from ftstack import scenario as scenario_module
 from ftstack.scenario import (
     FAMILIES,
+    MAX_WINDOW_SAMPLES,
     Scenario,
     ScenarioError,
     _EXPECT,
@@ -196,6 +199,25 @@ class TestShippedFiles:
         save_scenario(scenario, out)
         assert load_scenario(out) == scenario
 
+    def test_libyaml_and_python_loaders_agree(self, monkeypatch):
+        assert scenario_module._LOADER is yaml.CSafeLoader
+        for path in sorted(SCENARIO_DIR.glob("*.yaml")):
+            texts = set()
+            for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+                monkeypatch.setattr(scenario_module, "_LOADER", loader)
+                # the saved text, so an int parsed as a float would differ too
+                texts.add(yaml.safe_dump(load_scenario(path).to_dict(), sort_keys=False))
+            assert len(texts) == 1, path
+
+    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+    def test_garbled_yaml_names_the_file_under_either_loader(self, tmp_path, monkeypatch,
+                                                              loader):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("name: [unclosed\n")
+        monkeypatch.setattr(scenario_module, "_LOADER", getattr(yaml, loader))
+        with pytest.raises(ScenarioError, match=f"^{re.escape(str(bad))}: not parseable YAML"):
+            load_scenario(bad)
+
 
 class TestValidation:
     def test_missing_required_key(self):
@@ -378,6 +400,22 @@ class TestValidation:
             Scenario.from_dict(d)
         d["sensor"] = {"sample_rate": 100.0}
         assert Scenario.from_dict(d).window["average_time"] == 0.01
+
+    @pytest.mark.parametrize("key", ["settle_time", "average_time"])
+    def test_window_past_the_sample_cap(self, key):
+        d = minimal_press()
+        d["window"] = {"settle_time": 0.0, key: MAX_WINDOW_SAMPLES / 25.0}
+        assert Scenario.from_dict(d).window[key] == 40000.0
+        d["window"][key] = 1e300
+        with pytest.raises(ScenarioError, match=rf"^scenario\.window\.{key}: window of 1e\+300 s "
+                                                rf"takes more than 1000000 samples at 25\.0 Hz$"):
+            Scenario.from_dict(d)
+        # a span times a rate that overflows to infinity
+        d["window"][key] = 1e200
+        d["sensor"] = {"sample_rate": 1e200}
+        with pytest.raises(ScenarioError, match=rf"^scenario\.window\.{key}: window of 1e\+200 s "
+                                                rf"takes more than 1000000 samples at 1e\+200 Hz$"):
+            Scenario.from_dict(d)
 
     def test_com_offset_and_sampler_are_exclusive(self):
         d = minimal_placement()

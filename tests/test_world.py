@@ -18,6 +18,7 @@ from ftstack.world import (
     SimParams,
     World,
     _column_extremes,
+    _convex_hull,
     _distance_to_point_set,
 )
 from ftstack.policy import com_frame_transform
@@ -490,6 +491,117 @@ class TestColumnExtremesOrder:
             assert np.array_equal(_column_extremes(shuffled), want)
             assert sorts == ([] if np.array_equal(shuffled, pts) else [1])
             monkeypatch.undo()
+
+
+def qhull_vertices(pts):
+    """The oracle: qhull's counter-clockwise hull vertices, or None where it
+    calls the set flat."""
+    try:
+        return pts[ConvexHull(pts).vertices]
+    except QhullError:
+        return None
+
+
+def grid_patch(rng, kind, cut):
+    """A footprint's samples at a random centre on a 2 mm pitch, maybe cut
+    by a half-plane near its middle."""
+    size = rng.uniform(0.004, 0.03)
+    pts = Footprint(kind, size).sample_offsets(1e-3).T + 2e-3 * rng.integers(-100, 101, 2)
+    if cut:
+        normal = rng.normal(size=2)
+        pts = pts[(pts - pts.mean(axis=0) - rng.uniform(-0.5, 0.5) * size) @ normal >= 0.0]
+    return pts
+
+
+def random_cloud(rng):
+    return rng.uniform(-0.1, 0.1, (rng.integers(3, 60), 2))
+
+
+def collinear_set(rng):
+    """Exactly collinear rows: on one row, one column or the line y = x."""
+    n = rng.integers(3, 30)
+    t = rng.uniform(-0.1, 0.1, n)
+    c = np.full(n, rng.uniform(-0.1, 0.1))
+    return (np.column_stack([t, c]), np.column_stack([c, t]), np.column_stack([t, t]))[
+        rng.integers(3)]
+
+
+def float_line(rng):
+    """Points of a random segment, off its line by roundoff only."""
+    a, b = rng.uniform(-0.2, 0.2, (2, 2))
+    return a + rng.uniform(0.0, 1.0, (rng.integers(3, 30), 1)) * (b - a)
+
+
+def with_duplicates(rng):
+    """A cloud, a line or a cut patch with rows repeated, or one point repeated."""
+    pts = (random_cloud, float_line, lambda r: grid_patch(r, "square", True))[
+        rng.integers(3)](rng)
+    if rng.random() < 0.2:
+        return np.repeat(pts[:1], 4, axis=0)
+    return np.concatenate([pts, pts[rng.integers(len(pts), size=len(pts) // 2 + 1)]])
+
+
+HULL_CASES = {
+    "disk": lambda rng: grid_patch(rng, "disk", False),
+    "cut_disk": lambda rng: grid_patch(rng, "disk", True),
+    "square": lambda rng: grid_patch(rng, "square", False),
+    "cut_square": lambda rng: grid_patch(rng, "square", True),
+    "cloud": random_cloud,
+    "collinear": collinear_set,
+    "near_collinear": float_line,
+    "duplicates": with_duplicates,
+}
+
+
+class TestConvexHull:
+    """The monotone chain gives qhull's vertices, flat verdicts and releases."""
+
+    @pytest.mark.parametrize("case", list(HULL_CASES))
+    def test_matches_qhull(self, case):
+        rng = np.random.default_rng(list(HULL_CASES).index(case))
+        world = World(FlatPlane(0.0))
+        margin = world.params.stability_margin
+        flat = 0
+        for _ in range(200):
+            pts = HULL_CASES[case](rng)
+            if pts.shape[0] < 3:
+                continue
+            extremes = _column_extremes(pts)
+            expected = qhull_vertices(extremes)
+            verts = _convex_hull(extremes)
+            flat += expected is None
+            assert (verts is None) == (expected is None)
+            if verts is not None:
+                # coordinates, not indices: duplicate rows may swap
+                assert {tuple(v) for v in verts} == {tuple(v) for v in expected}
+                assert len(verts) == len(expected)
+            contact = ContactResult(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.0, 0.0,
+                                    np.column_stack([pts, np.zeros(len(pts))]), 0.0)
+            for com in pts[rng.integers(len(pts), size=4)] + rng.normal(0.0, 2e-3, (4, 2)):
+                if expected is None:
+                    want = _distance_to_point_set(com, pts) <= margin
+                else:
+                    # the same margin bits, so the chain runs counter-clockwise
+                    assert hull_margin(verts, com) == hull_margin(expected, com)
+                    want = hull_margin(expected, com) >= margin
+                assert world.stable_if_released(com, contact) == want
+        if case in ("collinear", "near_collinear"):
+            assert flat == 200
+        elif case != "duplicates":
+            assert flat == 0
+        else:
+            assert 0 < flat < 200
+
+    def test_roundoff_off_a_straight_edge_is_no_vertex(self):
+        # three samples of a cut square's edge, collinear but for roundoff:
+        # the middle one is about 4e-18 m below the chord, and qhull merges it
+        o, v, b = [-0.10700000000000001, -0.169], [-0.092, -0.164], \
+            [-0.08900000000000001, -0.163]
+        (ox, oy), (vx, vy), (bx, by) = o, v, b
+        assert (vx - ox) * (by - oy) - (vy - oy) * (bx - ox) > 0.0
+        pts = np.array([o, [-0.098, -0.15], v, b])
+        assert sorted(qhull_vertices(pts).tolist()) == [o, [-0.098, -0.15], b]
+        assert _convex_hull(pts).tolist() == [o, b, [-0.098, -0.15]]
 
 
 def _distance_to_segment(p, a, b) -> float:
