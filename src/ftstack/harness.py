@@ -510,8 +510,8 @@ def _r(value) -> str:
 def _write_descent_section(lines: list, label: str, series: list) -> None:
     lines.append(f"# section: descent {label}")
     lines.append("# columns: t_s f_norm_N tau_norm_Nm")
-    for t, f, tau in series:
-        lines.append(f"{_r(t)} {_r(f)} {_r(tau)}")
+    # rows hold floats (the series' tolist), so %r is the text _r gives
+    lines.extend("%r %r %r" % tuple(row) for row in series)
 
 
 def _write_iteration_section(lines: list, iterations: list) -> None:

@@ -154,13 +154,10 @@ def _descent_rows(g_wr: RigidTransform, hover: Wrench, sensor: ForceTorqueSensor
     tick. The readings are taken to the assumed-COM frame and the hover
     baseline is subtracted before the norms are taken.
     """
-    torque, force, times = np.empty_like(torque_rows), np.empty_like(force_rows), []
-    for i, (tau, f) in enumerate(zip(torque_rows, force_rows)):
-        torque[i], force[i] = sensor.sample(tau, f)
-        times.append(sensor.time)
-    torque, force = transform_wrenches(g_wr, torque, force)
+    ticks = sensor.ticks + 1 + np.arange(len(torque_rows))
+    torque, force = transform_wrenches(g_wr, *sensor.read_rows(torque_rows, force_rows))
     return np.column_stack([
-        np.asarray(times, dtype=float),
+        ticks / sensor.config.sample_rate,
         _row_norms(force - hover.force),
         _row_norms(torque - hover.torque),
     ])

@@ -3,6 +3,8 @@
 The sensor draws its noise from the generator it is given; its sample
 counter is the clock, one tick per ``sample`` call at the configured rate.
 A tick reads one true wrench, given as (3,) torque and force arrays.
+``read_rows`` draws many ticks' noise at once, but still reads each row with
+one ``sample`` call, so every tick stays visible to a subclass or a tracer.
 Noise defaults are tuned artifact choices, not measured hardware values.
 """
 
@@ -52,25 +54,48 @@ class ForceTorqueSensor:
     def __init__(self, config: SensorConfig, rng: np.random.Generator):
         self.config = config
         self._rng = rng
-        self._bias_torque = _as_vec3(config.bias_torque, "bias_torque")
-        self._bias_force = _as_vec3(config.bias_force, "bias_force")
-        self._drift_torque = _as_vec3(config.drift_torque, "drift_torque")
-        self._drift_force = _as_vec3(config.drift_force, "drift_force")
+        self._bias = [*_as_vec3(config.bias_torque, "bias_torque").tolist(),
+                      *_as_vec3(config.bias_force, "bias_force").tolist()]
+        self._drift = [*_as_vec3(config.drift_torque, "drift_torque").tolist(),
+                       *_as_vec3(config.drift_force, "drift_force").tolist()]
+        self._std = np.repeat([config.noise_torque, config.noise_force], 3)
+        self._pending = iter(())  # noise rows drawn ahead by read_rows
         self._samples = 0
+
+    @property
+    def ticks(self) -> int:  # ticks read so far, so also the next one's index
+        return self._samples
 
     @property
     def time(self) -> float:
         return self._samples / self.config.sample_rate
 
+    def _noise(self, n: int) -> list:
+        """n ticks' (torque, force) noise rows with the bits of per-tick ``normal(0, std, 3)``
+        pairs: ``0.0 + z * std`` is NumPy's ``loc + scale * z`` (``z * std`` gives -0.0 at 0)."""
+        return (0.0 + self._rng.standard_normal((n, 6)) * self._std).tolist()
+
     def sample(self, torque: np.ndarray, force: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One tick: the torque and force read for a true wrench's (3,) parts."""
-        t = self.time
-        # noise is drawn even at zero std so the stream advances identically
-        n_tau = self._rng.normal(0.0, self.config.noise_torque, 3)
-        n_f = self._rng.normal(0.0, self.config.noise_force, 3)
+        """One tick: the torque and force read for a true wrench's (3,) parts, each
+        component ((true + bias) + drift * t) + noise on floats, with the noise
+        row ``read_rows`` drew ahead, or one drawn here when none is pending."""
+        t = self._samples / self.config.sample_rate
         self._samples += 1
-        return (torque + self._bias_torque + self._drift_torque * t + n_tau,
-                force + self._bias_force + self._drift_force * t + n_f)
+        (v0, v1, v2), (v3, v4, v5) = torque.tolist(), force.tolist()
+        (b0, b1, b2, b3, b4, b5), (d0, d1, d2, d3, d4, d5) = self._bias, self._drift
+        n0, n1, n2, n3, n4, n5 = next(self._pending, None) or self._noise(1)[0]
+        read = np.array([v0 + b0 + d0 * t + n0, v1 + b1 + d1 * t + n1, v2 + b2 + d2 * t + n2,
+                         v3 + b3 + d3 * t + n3, v4 + b4 + d4 * t + n4, v5 + b5 + d5 * t + n5])
+        return read[:3], read[3:]
+
+    def read_rows(self, torque_rows, force_rows) -> tuple[np.ndarray, np.ndarray]:
+        """Read N true torque and force rows, (3,) arrays each, one
+        ``sample`` call per row, with the noise of all N ticks drawn at once;
+        returns the (N, 3) torque and force read."""
+        self._pending = iter(self._noise(len(torque_rows)))
+        read = np.array([self.sample(tau, f) for tau, f in zip(torque_rows, force_rows)])
+        read = read.reshape(-1, 2, 3)  # (0, 2, 3) for no rows
+        return read[:, 0], read[:, 1]
 
     def settle_and_average(self, true_wrench: Wrench, window: ReadingWindow) -> Wrench:
         """Discard the settle span, then average the window into one reading
@@ -82,12 +107,8 @@ class ForceTorqueSensor:
                 f"window of {window.average_time} s yields no samples at "
                 f"{self.config.sample_rate} Hz"
             )
-        for _ in range(n_settle):
-            self.sample(true_wrench.torque, true_wrench.force)
-        acc_tau = np.zeros(3)
-        acc_f = np.zeros(3)
-        for _ in range(n_avg):
-            tau, f = self.sample(true_wrench.torque, true_wrench.force)
-            acc_tau += tau
-            acc_f += f
-        return Wrench(acc_tau / n_avg, acc_f / n_avg, frame=true_wrench.frame)
+        n = n_settle + n_avg
+        read = self.read_rows([true_wrench.torque] * n, [true_wrench.force] * n)
+        # the kept rows summed in order from 0.0, as a per-tick += sums them
+        tau, f = (np.add.reduce(rows[n_settle:], axis=0, initial=0.0) / n_avg for rows in read)
+        return Wrench(tau, f, frame=true_wrench.frame)

@@ -151,13 +151,13 @@ class HeightField:
     """Uniform-grid sampled heights with bilinear interpolation.
 
     Cells holding NO_SURFACE are empty; any empty corner makes the
-    interpolated height NO_SURFACE, so stamped regions are conservatively
-    shrunk by up to one cell at their edges. The material box is the
-    inclusive index range ``(iy0, iy1, ix0, ix1)`` that holds every finite
-    cell, None while there is none; a query none of whose cells can have all
-    four corners inside it answers "empty" without a gather. It is set from
-    the given values and grown by ``_stamp``, so ``values`` is written only
-    through the stamps.
+    interpolated height NO_SURFACE (a non-finite corner leaves every blend
+    it enters non-finite), so stamped regions are conservatively shrunk by
+    up to one cell at their edges. The material box is the inclusive index
+    range ``(iy0, iy1, ix0, ix1)`` that holds every finite cell, None while
+    there is none; a query none of whose cells can have all four corners
+    inside it answers "empty" without a gather. It is set from the given
+    values and grown by ``_stamp``, so only the stamps write ``values``.
     """
 
     def __init__(self, origin: tuple[float, float], pitch: float, values: np.ndarray):
@@ -192,16 +192,8 @@ class HeightField:
         # ravel follows the logical [iy, ix] order whatever the memory layout
         flat = self.values.ravel()
         i00 = iyc * nx + ixc
-        v00 = flat[i00]
-        v10 = flat[i00 + 1]
-        v01 = flat[i00 + nx]
-        v11 = flat[i00 + nx + 1]
-        finite = (
-            valid & np.isfinite(v00) & np.isfinite(v10) & np.isfinite(v01) & np.isfinite(v11)
-        )
-        tx = fx - ix
-        ty = fy - iy
-        return v00, v10, v01, v11, tx, ty, finite
+        return (flat[i00], flat[i00 + 1], flat[i00 + nx], flat[i00 + nx + 1],
+                fx - ix, fy - iy, valid)
 
     def _may_reach_material(self, x, y) -> bool:
         """False when no query point's cell has all four corners in the box.
@@ -222,17 +214,11 @@ class HeightField:
         if not self._may_reach_material(x, y):
             return np.full(np.broadcast(x, y).shape, NO_SURFACE)
         fx, fy = self._fractional_index(x, y)
-        v00, v10, v01, v11, tx, ty, finite = self._corners(fx, fy)
-        # empty corners are masked out below; zero them first so the blend
-        # arithmetic never touches an infinity
-        v00, v10, v01, v11 = (np.where(finite, v, 0.0) for v in (v00, v10, v01, v11))
-        h = (
-            v00 * (1 - tx) * (1 - ty)
-            + v10 * tx * (1 - ty)
-            + v01 * (1 - tx) * ty
-            + v11 * tx * ty
-        )
-        return np.where(finite, h, NO_SURFACE)
+        v00, v10, v01, v11, tx, ty, valid = self._corners(fx, fy)
+        sx, sy = 1 - tx, 1 - ty
+        with np.errstate(invalid="ignore"):
+            h = v00 * sx * sy + v10 * tx * sy + v01 * sx * ty + v11 * tx * ty
+        return np.where(valid & np.isfinite(h), h, NO_SURFACE)
 
     def grad(self, x, y):
         x, y = _arr(x), _arr(y)
@@ -240,10 +226,11 @@ class HeightField:
             shape = np.broadcast(x, y).shape
             return np.zeros(shape), np.zeros(shape)
         fx, fy = self._fractional_index(x, y)
-        v00, v10, v01, v11, tx, ty, finite = self._corners(fx, fy)
-        v00, v10, v01, v11 = (np.where(finite, v, 0.0) for v in (v00, v10, v01, v11))
-        gx = ((v10 - v00) * (1 - ty) + (v11 - v01) * ty) / self.pitch
-        gy = ((v01 - v00) * (1 - tx) + (v11 - v10) * tx) / self.pitch
+        v00, v10, v01, v11, tx, ty, valid = self._corners(fx, fy)
+        with np.errstate(invalid="ignore"):
+            gx = ((v10 - v00) * (1 - ty) + (v11 - v01) * ty) / self.pitch
+            gy = ((v01 - v00) * (1 - tx) + (v11 - v10) * tx) / self.pitch
+        finite = valid & np.isfinite(gx)  # every corner enters gx, as it enters gy
         return np.where(finite, gx, 0.0), np.where(finite, gy, 0.0)
 
     def stamp_disk(self, center, radius: float, height_fn) -> None:

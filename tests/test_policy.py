@@ -380,3 +380,89 @@ class TestConfigValidation:
         # built once per lift; its arrays are read-only, so presses can share it
         assert com_frame_transform(0.15) is g
         assert not g.translation.flags.writeable
+
+
+class CountingSensor(ForceTorqueSensor):
+    """Counts ``sample`` calls, as a tracer that wraps the method counts ticks."""
+
+    def __init__(self, config, rng):
+        super().__init__(config, rng)
+        self.calls = 0
+
+    def sample(self, torque, force):
+        self.calls += 1
+        return super().sample(torque, force)
+
+
+def implied_presses(trace, config) -> int:
+    """Presses behind a zero-noise placement's iteration rows: a row read at
+    the retry force, or left degenerate, stands for two."""
+    retry = config.repress_scale * config.resistance_threshold
+    return sum(2 if rec.degenerate or rec.press_force == pytest.approx(retry, rel=1e-9) else 1
+               for rec in trace.iterations)
+
+
+class TestTickContract:
+    """One ``sample`` call per sensor tick and one ``descend_until_contact``
+    call per press, so that the calls counted on those two methods match the
+    work the outputs imply: descent rows plus readings times window samples."""
+
+    WINDOW_SAMPLES = 2 + 12  # the default window at 25 Hz: 0.1 s settle, 0.5 s average
+
+    @pytest.fixture
+    def descents(self, monkeypatch):
+        calls = []
+        real = World.descend_until_contact
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(World, "descend_until_contact", counted)
+        return calls
+
+    def assert_counts(self, sensor, descents, traces, config, hovers, presses=0):
+        """``hovers`` calibrations (a hover and a flat press each), the
+        placement ``traces`` and ``presses`` other presses."""
+        presses += hovers + sum(implied_presses(t, config) for t in traces)
+        rows = sum(len(series) for t in traces for series in t.descent_series)
+        assert len(descents) == presses
+        assert sensor.calls == rows + (hovers + presses) * self.WINDOW_SAMPLES
+
+    def test_puck_placement(self, descents):
+        world = World([FlatPlane(0.0), Puck((0.0, 0.0), 0.05, 0.04)])
+        world.hold(make_disk(com_offset=np.array([0.006, -0.004, 0.0])))
+        config = PolicyConfig()
+        sensor = CountingSensor(SensorConfig(noise_torque=0.0, noise_force=0.0),
+                                np.random.default_rng(3))
+        trace = run_placement(world, sensor, calibrated(world, sensor, config), config,
+                              (0.025, -0.01), 0.1)
+        assert trace.outcome is PlacementOutcome.RELEASED_STABLE
+        assert len(trace.iterations) > 1
+        self.assert_counts(sensor, descents, [trace], config, hovers=1)
+
+    def test_stack(self, descents):
+        world = World(FlatPlane(0.0))
+        objects = [make_square(half=0.05, thickness=0.006), make_disk(thickness=0.006)]
+        plan = StackPlan(target_xy=(0.0, 0.0),
+                         perturbations=np.array([[0.005, -0.003], [-0.008, 0.006]]),
+                         calibration_xy=CAL_XY, hover_tip_z=HOVER_Z)
+        config = PolicyConfig()
+        sensor = CountingSensor(SensorConfig(noise_torque=0.0, noise_force=0.0),
+                                np.random.default_rng(4))
+        result = run_stack(world, sensor, objects, plan, config)
+        assert result.success
+        self.assert_counts(sensor, descents, result.traces, config, hovers=2)
+
+    def test_sweep_press(self, descents):
+        # a noise sweep trial: one calibration, then one press whose descent
+        # rows are not read
+        world = World([FlatPlane(0.0), Puck((0.0, 0.0), 0.05, 0.04)])
+        world.hold(make_disk(radius=0.045))
+        config = PolicyConfig()
+        sensor = CountingSensor(SensorConfig(), np.random.default_rng(5))
+        state = calibrated(world, sensor, config)
+        press = press_and_estimate(world, sensor, state, config, ReadingWindow(),
+                                   (0.02, 0.01), 0.1)
+        assert not press.degenerate
+        self.assert_counts(sensor, descents, [], config, hovers=1, presses=1)

@@ -100,6 +100,76 @@ class TestSampling:
         assert s.time == pytest.approx(0.2)
 
 
+
+BIASED = dict(bias_torque=(0.02, -0.01, 0.0), bias_force=(0.5, -0.3, 1.2),
+              drift_torque=(0.001, 0.0, -0.002), drift_force=(0.0, 0.1, -0.05))
+NOISES = [{"noise_torque": 0.0, "noise_force": 0.0}, {}]
+# with -0.0 offsets a -0.0 true component stays -0.0 up to the noise, so the
+# noise's own zero sign shows
+SIGNED_ZEROS = dict(bias_torque=(-0.0,) * 3, bias_force=(-0.0,) * 3,
+                    drift_torque=(-0.0,) * 3, drift_force=(-0.0,) * 3)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestReadRows:
+    """One noise draw for many ticks gives the per-tick draws' bits and stream."""
+
+    @pytest.mark.parametrize("n", [0, 1, 14, 180])
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("offsets", [BIASED, SIGNED_ZEROS], ids=["biased", "signed_zeros"])
+    def test_matches_the_per_tick_reference_bit_for_bit(self, n, noise, offsets):
+        cfg = SensorConfig(**offsets, **noise)
+        rng = np.random.default_rng(12)
+        sensor = ForceTorqueSensor(cfg, np.random.default_rng(12))
+        for i in range(3):  # lone ticks first, so the rows start at tick 3
+            got, want = read(sensor), reference_sample(cfg, rng, HOVER.torque, HOVER.force, i)
+            for g, w in zip(got, want):
+                assert_same_bits(g, w)
+        true = np.random.default_rng(6).normal(size=(n, 2, 3))
+        true[:1] = -0.0  # signed zeros pass through as the arithmetic leaves them
+        torque, force = sensor.read_rows(true[:, 0], true[:, 1])
+        want = [reference_sample(cfg, rng, tau, f, 3 + i) for i, (tau, f) in enumerate(true)]
+        assert torque.shape == force.shape == (n, 3)
+        assert_same_bits(torque, np.array([w[0] for w in want]).reshape(n, 3))
+        assert_same_bits(force, np.array([w[1] for w in want]).reshape(n, 3))
+        assert sensor.ticks == 3 + n
+        assert sensor.time == (3 + n) / cfg.sample_rate
+        assert sensor._rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_lone_ticks_after_rows_continue_the_stream(self, noise):
+        cfg = SensorConfig(**BIASED, **noise)
+        rng = np.random.default_rng(14)
+        sensor = ForceTorqueSensor(cfg, np.random.default_rng(14))
+        rows = np.tile(HOVER.torque, (5, 1)), np.tile(HOVER.force, (5, 1))
+        sensor.read_rows(*rows)
+        for i in range(5):
+            reference_sample(cfg, rng, HOVER.torque, HOVER.force, i)
+        for i in range(5, 9):
+            for g, w in zip(read(sensor), reference_sample(cfg, rng, HOVER.torque,
+                                                           HOVER.force, i)):
+                assert_same_bits(g, w)
+        assert sensor._rng.bit_generator.state == rng.bit_generator.state
+
+    def test_each_row_is_one_sample_call(self):
+        calls = []
+
+        class Counting(ForceTorqueSensor):
+            def sample(self, torque, force):
+                calls.append((torque, force))
+                return super().sample(torque, force)
+
+        true = np.random.default_rng(7).normal(size=(2, 9, 3))
+        Counting(SensorConfig(), np.random.default_rng(0)).read_rows(*true)
+        assert len(calls) == 9
+        for (tau, f), want_tau, want_f in zip(calls, *true):
+            assert np.array_equal(tau, want_tau) and np.array_equal(f, want_f)
+
 class TestWindows:
     def test_default_window_consumes_two_plus_twelve_samples(self):
         # 0.1 s settle -> floor(2.5) = 2 discarded; 0.5 s -> floor(12.5) = 12
@@ -120,6 +190,27 @@ class TestWindows:
         assert reading.frame is FrameId.WRIST
         assert np.array_equal(reading.torque, acc_tau / 12)
         assert np.array_equal(reading.force, acc_f / 12)
+        assert s._rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("settle, average", [(0.0, 0.04), (0.2, 0.52), (0.0, 7.2)])
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_any_window_matches_the_per_tick_sum(self, settle, average, noise):
+        # 1, 13 and 180 kept rows, summed in order from zero as += sums them
+        cfg = SensorConfig(**BIASED, **noise)
+        rng = np.random.default_rng(9)
+        s = ForceTorqueSensor(cfg, np.random.default_rng(9))
+        press = Wrench((0.0, -0.2, 0.01), (0.3, 0.0, 0.19), frame=FrameId.WRIST)
+        reading = s.settle_and_average(press, ReadingWindow(settle, average))
+        n_settle, n_avg = int(settle * 25.0), int(average * 25.0)
+        acc_tau, acc_f = np.zeros(3), np.zeros(3)
+        for i in range(n_settle + n_avg):
+            tau, f = reference_sample(cfg, rng, press.torque, press.force, i)
+            if i >= n_settle:
+                acc_tau += tau
+                acc_f += f
+        assert_same_bits(reading.torque, acc_tau / n_avg)
+        assert_same_bits(reading.force, acc_f / n_avg)
+        assert s.ticks == n_settle + n_avg
         assert s._rng.bit_generator.state == rng.bit_generator.state
 
     def test_averaging_shrinks_noise(self):

@@ -345,6 +345,38 @@ class TestMaterialBox:
         assert hf._box == (iy0, iy1, ix0, ix1)
         assert_box_answers_match_the_full_gather(hf, rng, monkeypatch)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nan_and_infinite_cells_answer_as_the_full_gather(self, seed):
+        # a NaN, +inf or empty corner leaves the blend non-finite, so the
+        # blend's own finiteness is the four-corner mask; queries run past
+        # every raster edge and land on grid nodes, where a weight is zero
+        rng = np.random.default_rng(100 + seed)
+        values = rng.uniform(-0.01, 0.05, (23, 31))
+        kind = rng.integers(0, 8, values.shape)
+        values[kind == 0] = np.nan
+        values[kind == 1] = np.inf
+        values[kind == 2] = NO_SURFACE
+        hf = HeightField((-0.03, -0.02), 0.002, values)
+        x0, y0 = hf.origin
+        x1, y1 = x0 + 30 * hf.pitch, y0 + 22 * hf.pitch
+        nodes_x = x0 + hf.pitch * rng.integers(-2, 33, 300)
+        nodes_y = y0 + hf.pitch * rng.integers(-2, 25, 300)
+        queries = [
+            (rng.uniform(x0 - 0.01, x1 + 0.01, 3000), rng.uniform(y0 - 0.01, y1 + 0.01, 3000)),
+            (nodes_x, nodes_y),
+            (nodes_x, rng.uniform(y0 - 0.01, y1 + 0.01, 300)),
+            (np.array([x0, x1, x0, x1]), np.array([y0, y0, y1, y1])),
+        ]
+        for x, y in queries:
+            want = full_gather(hf, x, y)
+            got = (hf.height(x, y),) + tuple(hf.grad(x, y))
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == float
+                assert np.array_equal(g, w)
+                assert np.array_equal(np.signbit(g), np.signbit(w))
+        h = hf.height(*queries[0])
+        assert np.isfinite(h).any() and np.isneginf(h).any()
+
     def test_box_of_given_values(self):
         assert HeightField((0.0, 0.0), 0.01, np.full((4, 6), NO_SURFACE))._box is None
         full = HeightField((0.0, 0.0), 0.01, np.zeros((4, 6)))

@@ -15,6 +15,7 @@ from ftstack.world import (
     Footprint,
     HeldObject,
     NoContactWithinRange,
+    _COLLINEAR_TOL,
     SimParams,
     World,
     _column_extremes,
@@ -288,6 +289,24 @@ class TestContactPatch:
             assert np.array_equal(contact.surface_normal,
                                   world.surface_normal(want_point[0], want_point[1]))
 
+    def test_contact_point_is_the_row_mean_of_the_patch(self):
+        # the reference is the mean over a C-ordered (P, 3) patch filled column
+        # by column, a sequential row sum; an F-ordered copy would sum
+        # pairwise and differ in the last place
+        world = World(FlatPlane(0.0))
+        rng = np.random.default_rng(31)
+        sizes = np.concatenate([rng.integers(1, 3000, 1995), [1, 2, 10201, 10201, 20000]])
+        for k in sizes:
+            pts = rng.uniform(-0.3, 0.3, (2, k))
+            tower = 0.02 - rng.uniform(0.0, 2e-6, k) * rng.integers(0, 2, k)
+            contact = world._contact_at(tower, pts, tower, 10.0, 1e-4)
+            tie = np.flatnonzero(tower >= np.max(tower) - world.params.patch_tie_tol)
+            patch = np.empty((tie.size, 3))
+            patch[:, 0], patch[:, 1], patch[:, 2] = pts[0][tie], pts[1][tie], tower[tie]
+            want = patch.mean(axis=0) if tie.size > 1 else patch[0]
+            assert np.array_equal(contact.contact_patch, patch)
+            assert np.array_equal(contact.contact_point, want)
+
     @settings(max_examples=60, deadline=None)
     @given(
         kind=st.sampled_from(["disk", "square"]),
@@ -553,6 +572,35 @@ HULL_CASES = {
 }
 
 
+def loop_left_turn_chain(rows) -> list:
+    """Reference: the chain one row at a time, popping each kept row that
+    fails against the row before it and the incoming row."""
+    out = []
+    for bx, by in rows.tolist():
+        while len(out) >= 2:
+            (ox, oy), (ax, ay) = out[-2], out[-1]
+            dx, dy = bx - ox, by - oy
+            if (ax - ox) * dy - (ay - oy) * dx > _COLLINEAR_TOL * np.sqrt(dx * dx + dy * dy):
+                break
+            out.pop()
+        out.append((bx, by))
+    return out
+
+
+def loop_convex_hull(extremes):
+    """Reference: the two loop chains, joined where a one-row column ends one
+    and starts the other."""
+    new_column = extremes[1:, 0] != extremes[:-1, 0]
+    lower = loop_left_turn_chain(extremes[np.concatenate([[True], new_column])])
+    upper = loop_left_turn_chain(extremes[np.concatenate([new_column, [True]])][::-1])
+    if lower[-1] == upper[0]:
+        del upper[0]
+    if upper and upper[-1] == lower[0]:
+        del upper[-1]
+    hull = lower + upper
+    return np.array(hull) if len(hull) >= 3 else None
+
+
 class TestConvexHull:
     """The monotone chain gives qhull's vertices, flat verdicts and releases."""
 
@@ -591,6 +639,22 @@ class TestConvexHull:
             assert flat == 0
         else:
             assert 0 < flat < 200
+
+    @pytest.mark.parametrize("case", list(HULL_CASES))
+    def test_matches_the_loop_chain_in_order(self, case):
+        # the array passes drop rows in another order than the loop's pops,
+        # yet keep the same vertices, in the same order, with the same bits
+        rng = np.random.default_rng(100 + list(HULL_CASES).index(case))
+        for _ in range(300):
+            pts = HULL_CASES[case](rng)
+            if pts.shape[0] < 3:
+                continue
+            extremes = _column_extremes(pts)
+            want, got = loop_convex_hull(extremes), _convex_hull(extremes)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.shape == want.shape and np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_roundoff_off_a_straight_edge_is_no_vertex(self):
         # three samples of a cut square's edge, collinear but for roundoff:
