@@ -118,11 +118,13 @@ def _trace_row(trace) -> dict:
 # -- per-trial runners (top level so worker processes can import them) --------
 
 
-def _calibrated(scenario: Scenario, rng_scn, rng_sen, section: dict):
+def _calibrated(scenario: Scenario, rng_scn, rng_sen, section: dict, world=None):
     """A world holding a freshly drawn object, calibrated at the section's
     calibration_xy and hover_tip_z; returns the world, object, sensor,
-    policy config, reading window and calibration."""
-    world = build_world(scenario)
+    policy config, reading window and calibration. A new world unless one
+    is given."""
+    if world is None:
+        world = build_world(scenario)
     obj = build_object(scenario, rng_scn)
     world.hold(obj)
     sensor = build_sensor(scenario, rng_sen)
@@ -225,7 +227,7 @@ def _sweep_point(scenario: Scenario, trial: int):
     )
 
 
-def _sweep_trial(scenario: Scenario, trial: int) -> dict:
+def _sweep_trial(scenario: Scenario, trial: int, world=None) -> dict:
     rng_scn, rng_sen = _trial_rngs(scenario.seed, trial)
     sweep = scenario.sweep
     magnitude, direction_deg, press_xy = _sweep_point(scenario, trial)
@@ -236,7 +238,7 @@ def _sweep_trial(scenario: Scenario, trial: int) -> dict:
     }
     try:
         world, _, sensor, config, window, calibration = _calibrated(
-            scenario, rng_scn, rng_sen, sweep)
+            scenario, rng_scn, rng_sen, sweep, world)
         press = press_and_estimate(
             world, sensor, calibration, config, window,
             press_xy, sweep["hover_tip_z"],
@@ -325,10 +327,12 @@ def _press_trial(scenario: Scenario, trial: int) -> dict:
 
 
 def _run_trials(scenario: Scenario, jobs: int) -> list[dict]:
-    runner = _FAMILIES[scenario.family].run
+    family = _FAMILIES[scenario.family]
+    runner = family.run
     trials = range(scenario.trials)
     if jobs <= 1:
-        return [runner(scenario, t) for t in trials]
+        shared = (build_world(scenario),) if family.keeps_terrain else ()
+        return [runner(scenario, t, *shared) for t in trials]
     from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -363,8 +367,13 @@ def _finite(values: list) -> list:
 
 
 def _median(values: list) -> float | None:
-    clean = _finite(values)
-    return float(np.median(clean)) if clean else None
+    """The middle of the sorted values, or the mean of the middle two: the
+    bits ``np.median`` gives, without the ``numpy.ma`` import it costs."""
+    clean = sorted(_finite(values))
+    if not clean:
+        return None
+    mid = len(clean) // 2
+    return float(clean[mid] if len(clean) % 2 else (clean[mid - 1] + clean[mid]) / 2)
 
 
 def _mean(values: list) -> float | None:
@@ -488,6 +497,9 @@ class _Family(NamedTuple):
     run: Callable[[Scenario, int], dict]
     aggregate: Callable[[Scenario, list], dict]
     table: tuple[str, dict] | None  # CSV name and columns; None writes traces
+    # no trial changes the terrain, so in-process trials run in one world,
+    # passed to ``run`` as a third argument
+    keeps_terrain: bool = False
 
 
 _PLACEMENT = _Family(_placement_trial, _aggregate_placement, None)
@@ -495,7 +507,8 @@ _FAMILIES = {
     **dict.fromkeys(_PLACEMENT_FAMILIES, _PLACEMENT),
     "multi_stack": _Family(_stack_trial, _aggregate_stack, None),
     "finger_press": _Family(_press_trial, _aggregate_press, ("press.csv", _PRESS_COLUMNS)),
-    "noise_sweep": _Family(_sweep_trial, _aggregate_sweep, ("sweep.csv", _SWEEP_COLUMNS)),
+    "noise_sweep": _Family(_sweep_trial, _aggregate_sweep, ("sweep.csv", _SWEEP_COLUMNS),
+                           keeps_terrain=True),
 }
 
 

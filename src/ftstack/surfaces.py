@@ -158,6 +158,8 @@ class HeightField:
     there is none; a query none of whose cells can have all four corners
     inside it answers "empty" without a gather. It is set from the given
     values and grown by ``_stamp``, so only the stamps write ``values``.
+    A read-only grid, such as the one ``empty`` gives, is copied to a
+    writable one by the first stamp that writes.
     """
 
     def __init__(self, origin: tuple[float, float], pitch: float, values: np.ndarray):
@@ -174,7 +176,11 @@ class HeightField:
     def empty(cls, x_range, y_range, pitch: float) -> "HeightField":
         nx = int(np.floor((x_range[1] - x_range[0]) / pitch)) + 1
         ny = int(np.floor((y_range[1] - y_range[0]) / pitch)) + 1
-        return cls((x_range[0], y_range[0]), pitch, np.full((ny, nx), NO_SURFACE))
+        # built on one cell, so no grid is scanned; until a stamp writes,
+        # the grid is a read-only broadcast of NO_SURFACE
+        field = cls((x_range[0], y_range[0]), pitch, np.full((1, 1), NO_SURFACE))
+        field.values = np.broadcast_to(NO_SURFACE, (ny, nx))
+        return field
 
     def _fractional_index(self, x, y):
         fx = (_arr(x) - self.origin[0]) / self.pitch
@@ -196,17 +202,24 @@ class HeightField:
                 fx - ix, fy - iy, valid)
 
     def _may_reach_material(self, x, y) -> bool:
-        """False when no query point's cell has all four corners in the box.
+        """False when no query point's cell has all four corners in the box."""
+        if self._box is None or x.size == 0 or y.size == 0:
+            return False
+        return self._may_reach_rectangle(x.min(), y.min(), x.max(), y.max())
+
+    def _may_reach_rectangle(self, x_lo, y_lo, x_hi, y_hi) -> bool:
+        """False when no point of the rectangle has a cell with all four
+        corners in the box.
 
         A cell's corners ix and ix + 1 lie in [ix0, ix1] exactly when its
         fractional index lies in [ix0, ix1); the index map is monotone, so
         the extreme coordinates decide for every point. NaN reads as "may".
         """
-        if self._box is None or x.size == 0 or y.size == 0:
+        if self._box is None:
             return False
         iy0, iy1, ix0, ix1 = self._box
-        fx_lo, fy_lo = self._fractional_index(x.min(), y.min())
-        fx_hi, fy_hi = self._fractional_index(x.max(), y.max())
+        fx_lo, fy_lo = self._fractional_index(x_lo, y_lo)
+        fx_hi, fy_hi = self._fractional_index(x_hi, y_hi)
         return not (fx_hi < ix0 or fx_lo >= ix1 or fy_hi < iy0 or fy_lo >= iy1)
 
     def height(self, x, y):
@@ -263,6 +276,8 @@ class HeightField:
         mask = mask_fn(dxg, dyg)
         if not mask.any():
             return
+        if not self.values.flags.writeable:
+            self.values = self.values.copy()
         window = self.values[iy0:iy1, ix0:ix1]
         new = height_fn(dxg[mask], dyg[mask])
         current = window[mask]

@@ -14,6 +14,7 @@ the gravity wrench plus the contact wrench about the wrist origin.
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,8 @@ def _footprint_offsets(kind: str, size: float, pitch: float) -> np.ndarray:
     """Interior grid plus an exact boundary ring, as a (2, K) array: the x and
     the y offsets, each contiguous, with samples in (x, y) order.
 
-    ``np.unique`` sorts the rows; rounding to 1e-12 keeps distinct offsets
+    The rows are sorted as (x, y) records, the sort ``np.unique(axis=0)``
+    runs, and their repeats dropped; rounding to 1e-12 keeps distinct offsets
     far enough apart that a shift by the footprint's center keeps that order.
     """
     n = int(np.floor(size / pitch))
@@ -81,7 +83,10 @@ def _footprint_offsets(kind: str, size: float, pitch: float) -> np.ndarray:
             ]
         )
         pts = np.vstack([pts, border])
-    out = np.ascontiguousarray(np.unique(np.round(pts, 12), axis=0).T)
+    rows = np.ascontiguousarray(np.round(pts, 12)).view([("x", float), ("y", float)]).ravel()
+    rows.sort()
+    rows = rows[np.concatenate([[True], rows[1:] != rows[:-1]])]
+    out = np.ascontiguousarray(rows.view(float).reshape(-1, 2).T)
     out.setflags(write=False)
     return out
 
@@ -203,8 +208,19 @@ class ReleaseOutcome:
     top_height: float | None = None
 
 
+# descents a world remembers: a calibration press and the one press made
+# between two calibrations
+_REMEMBERED_DESCENTS = 2
+
+
 class World:
-    """Terrain, the optional held object, and the quasi-static contact model."""
+    """Terrain, the optional held object, and the quasi-static contact model.
+
+    A world changes its terrain only through its overlay, which only grows;
+    the static layers never change. So a descent whose footprint cannot reach
+    the overlay's material reads NO_SURFACE from the overlay, now as when
+    first computed, and ``descend_until_contact`` may return its result again.
+    """
 
     def __init__(self, surfaces, x_range=(-0.3, 0.3), y_range=(-0.3, 0.3),
                  params: SimParams | None = None):
@@ -215,6 +231,7 @@ class World:
         self.overlay = HeightField.empty(x_range, y_range, self.params.raster_pitch)
         self.terrain = LayeredSurface(layers + (self.overlay,))
         self.held: HeldObject | None = None
+        self._descents: list = []  # (key, result) pairs, most recently used first
 
     def hold(self, obj: HeldObject) -> None:
         self.held = obj
@@ -273,10 +290,47 @@ class World:
         contact-approach time series. Raises NoContactWithinRange, carrying
         the poses and forces, when the bottom face passes the descent floor
         untouched.
+
+        The last ``_REMEMBERED_DESCENTS`` descents that cannot reach the
+        overlay's material are remembered, with read-only arrays: asked for
+        again while that holds, one returns the same objects.
         """
         obj = self._require_held()
         if resistance_threshold <= 0.0:
             raise ValueError("resistance_threshold must be positive")
+        xy = np.asarray(xy, dtype=float)
+        key = self._descent_key(obj, xy, resistance_threshold, start_tip_z)
+        if key is not None:
+            for i, (seen, result) in enumerate(self._descents):
+                if seen == key:
+                    self._descents.insert(0, self._descents.pop(i))
+                    return result
+        result = self._descend(obj, xy, resistance_threshold, start_tip_z)
+        if key is not None:
+            contact, _, tips, forces = result
+            for a in (contact.contact_point, contact.surface_normal, contact.contact_patch,
+                      tips, forces):
+                a.setflags(write=False)
+            self._descents = [(key, result)] + self._descents[:_REMEMBERED_DESCENTS - 1]
+        return result
+
+    def _descent_key(self, obj: HeldObject, xy: np.ndarray, resistance_threshold,
+                     start_tip_z):
+        """What the descent's result depends on, floats by their bits (the tips
+        carry xy's, so -0.0 is not 0.0); None while the footprint's extent,
+        plus a raster cell for the roundoff of the samples and the patch
+        centroid, may reach the overlay's material."""
+        center = xy + obj.com_offset[:2]
+        reach = obj.footprint.size + self.overlay.pitch
+        if self.overlay._may_reach_rectangle(center[0] - reach, center[1] - reach,
+                                             center[0] + reach, center[1] + reach):
+            return None
+        return (xy.tobytes(), obj.com_offset.tobytes(),
+                struct.pack("3d", start_tip_z, resistance_threshold, obj.tip_to_bottom),
+                obj.footprint, obj.bottom, self.params)
+
+    def _descend(self, obj: HeldObject, xy: np.ndarray, resistance_threshold: float,
+                 start_tip_z):
         touch, pts, tower = self._touch_profile(xy)
         z_touch = float(np.max(touch))  # heights are finite or NO_SURFACE
         bottom_start = float(start_tip_z) - obj.tip_to_bottom
@@ -291,7 +345,6 @@ class World:
         if np.isfinite(z_touch):
             contact = self._contact_at(touch, pts, tower, resistance_threshold, pen_target)
 
-        xy = np.asarray(xy, dtype=float)
         step = self.params.descent_step
         floor = self.params.descent_floor
         # The range only has to reach the stop, so it runs a few steps past

@@ -21,6 +21,7 @@ from ftstack.harness import (
     wilson_interval,
 )
 from ftstack.scenario import Scenario, save_scenario
+from ftstack.world import World
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -226,6 +227,65 @@ class TestSweep:
         lines = table.read_text().splitlines()
         assert lines[0] == "trial,magnitude_m,direction_deg,angle_error_deg,press_force_N,degenerate"
         assert len(lines) == 1 + 8
+
+
+    def test_shipped_sweep_writes_the_same_files_for_any_jobs(self, tmp_path):
+        # in process the trials share one world; pooled, each task builds its own
+        path = SCENARIO_DIR / "noise_sweep.yaml"
+        one, two = tmp_path / "one", tmp_path / "two"
+        run_scenario(path, out_dir=one, jobs=1)
+        run_scenario(path, out_dir=two, jobs=2)
+        names = sorted(p.name for p in one.iterdir())
+        assert names == ["report.yaml", "sweep.csv"]
+        assert names == sorted(p.name for p in two.iterdir())
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+
+    def test_in_process_trials_share_one_world(self, monkeypatch):
+        built = []
+        real = harness.build_world
+
+        def counted(scenario):
+            built.append(real(scenario))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "build_world", counted)
+        report = sweep_offsets(tiny_sweep(
+            trials=2, sweep={"magnitudes": [0.01], "directions": 2, "repeats": 1}))
+        assert report["results"]["errors"] == 0
+        assert len(built) == 1
+
+    def test_in_process_trials_repeat_one_calibration_press(self, monkeypatch):
+        contacts = []
+        real = World._contact_at
+
+        def counted(self, *args):
+            contacts.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(World, "_contact_at", counted)
+        assert sweep_offsets(tiny_sweep())["results"]["errors"] == 0
+        # eight presses at eight sites, and the one calibration press they share
+        assert len(contacts) == 8 + 1
+
+
+class TestMedian:
+    def test_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 41):
+            for scale in (1e-9, 1.0, 1e9):
+                values = list(rng.normal(0.0, scale, n))
+                ties = list(rng.integers(0, 4, n) * 0.1 * scale)
+                for case in (values, ties):
+                    want = float(np.median(case))
+                    assert np.float64(harness._median(case)).tobytes() == (
+                        np.float64(want).tobytes()), case
+
+    def test_missing_values_are_skipped(self):
+        assert harness._median([]) is None
+        assert harness._median([None, math.nan]) is None
+        assert harness._median([3.0, None, math.nan, 1.0]) == 2.0
+        assert harness._median([None, 5.0]) == 5.0
 
 
 class TestArtifacts:

@@ -14,6 +14,7 @@ from ftstack.surfaces import (
     RampPatch,
     SphericalCap,
 )
+from ftstack.world import Footprint, HeldObject, World
 
 
 class TestFlatPlane:
@@ -384,6 +385,55 @@ class TestMaterialBox:
         values = np.full((4, 6), NO_SURFACE)
         values[2, 1] = values[1, 4] = 0.0
         assert HeightField((0.0, 0.0), 0.01, values)._box == (1, 2, 1, 4)
+
+
+def stamp_with(hf, spec):
+    kind, cx, cy, size, top, amp = spec
+
+    def top_fn(dx, dy):
+        return top + amp * np.cos(300.0 * dx) * np.cos(300.0 * dy)
+
+    (hf.stamp_disk if kind == "disk" else hf.stamp_square)((cx, cy), size, top_fn)
+
+
+class TestGridOnFirstStamp:
+    """``HeightField.empty`` makes no grid; the first stamp that writes does."""
+
+    def test_the_grid_is_read_only_until_a_stamp_writes(self):
+        hf = HeightField.empty((-0.1, 0.1), (-0.1, 0.1), 0.002)
+        shape = hf.values.shape
+        assert shape == (101, 101) and not hf.values.flags.writeable
+        assert hf._box is None and np.all(hf.values == NO_SURFACE)
+        assert hf.height(0.0, 0.0) == NO_SURFACE
+        stamp_with(hf, ("square", 0.5, 0.5, 0.01, 0.02, 0.0))  # off the raster: no write
+        assert not hf.values.flags.writeable and hf._box is None
+        stamp_with(hf, ("square", 0.0, 0.0, 0.01, 0.02, 0.0))
+        assert hf.values.flags.writeable and hf.values.shape == shape
+        assert hf._box is not None and float(hf.height(0.0, 0.0)) == pytest.approx(0.02)
+
+    def test_an_unstamped_world_holds_no_writable_grid(self):
+        world = World([FlatPlane(0.0), Puck((0.0, 0.0), 0.05, 0.04)])
+        world.hold(HeldObject(mass=1.0, footprint=Footprint("disk", 0.045), thickness=0.02))
+        world.descend_until_contact((0.01, 0.0), 10.0, 0.1)
+        assert not world.overlay.values.flags.writeable
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(stamp_specs, max_size=4), st.integers(0, 2**32 - 1))
+    def test_stamps_answer_as_on_an_eagerly_filled_grid(self, specs, seed):
+        lazy = HeightField.empty((-0.1, 0.1), (-0.1, 0.1), 0.002)
+        eager = HeightField(lazy.origin, lazy.pitch, np.full(lazy.values.shape, NO_SURFACE))
+        rng = np.random.default_rng(seed)
+        x, y = rng.uniform(-0.12, 0.12, (2, 300))
+        for spec in specs:
+            stamp_with(lazy, spec)
+            stamp_with(eager, spec)
+            near = rng.uniform(-1.2 * spec[3], 1.2 * spec[3], (2, 100))
+            x, y = np.concatenate([x, near[0] + spec[1]]), np.concatenate([y, near[1] + spec[2]])
+            assert lazy._box == eager._box
+            assert np.array_equal(lazy.values, eager.values)
+            for got, want in zip((lazy.height(x, y), *lazy.grad(x, y)),
+                                 (eager.height(x, y), *eager.grad(x, y))):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestLayeredSurface:

@@ -22,7 +22,8 @@ from ftstack.world import (
     _convex_hull,
     _distance_to_point_set,
 )
-from ftstack.policy import com_frame_transform
+from ftstack.policy import PolicyConfig, StackPlan, com_frame_transform, run_stack
+from ftstack.sensor import ForceTorqueSensor, SensorConfig
 
 
 def make_disk(radius=0.05, thickness=0.02, mass=1.0, **kw):
@@ -790,3 +791,171 @@ class TestProfiles:
             TopProfile("undulating", amplitude=0.0)
         with pytest.raises(ValueError):
             HeldObject(mass=0.0, footprint=Footprint("disk", 0.05), thickness=0.02)
+
+
+FAR_XY = (0.15, -0.15)  # a calibration site, well away from any stamp at the origin
+
+
+def count_contact_at(monkeypatch) -> list:
+    calls = []
+    real = World._contact_at
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(World, "_contact_at", counted)
+    return calls
+
+
+def descent_bits(result) -> tuple:
+    """Every value a descent returns, as bits."""
+    contact, tip_z, tips, forces = result
+    return tuple(np.asarray(v, dtype=float).tobytes() for v in (
+        contact.contact_point, contact.surface_normal, contact.penetration,
+        contact.normal_force_magnitude, contact.contact_patch, contact.touch_height,
+        tip_z, tips, forces))
+
+
+class TestRememberedDescents:
+    def test_a_repeat_returns_the_same_read_only_objects(self, monkeypatch):
+        world = World([FlatPlane(0.0), Puck((0.0, 0.0), 0.05, 0.04)])
+        world.hold(make_disk(com_offset=np.array([0.004, -0.002, 0.001])))
+        calls = count_contact_at(monkeypatch)
+        first = world.descend_until_contact(FAR_XY, 10.0, 0.1)
+        again = world.descend_until_contact(FAR_XY, 10.0, 0.1)
+        assert len(calls) == 1
+        assert all(a is b for a, b in zip(first, again))
+        contact, _, tips, forces = first
+        for arr in (contact.contact_point, contact.surface_normal, contact.contact_patch,
+                    tips, forces):
+            assert not arr.flags.writeable
+        # the key is the object's geometry, not the object
+        world.hold(make_disk(com_offset=np.array([0.004, -0.002, 0.001])))
+        assert world.descend_until_contact(list(FAR_XY), 10.0, 0.1)[0] is contact
+        assert len(calls) == 1
+
+    def test_a_stamp_that_reaches_the_footprint_forces_a_fresh_descent(self, monkeypatch):
+        world = World(FlatPlane(0.0))
+        world.hold(make_square(thickness=0.006))
+        far = world.descend_until_contact(FAR_XY, 10.0, 0.1)
+        site = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
+        calls = count_contact_at(monkeypatch)
+        assert world.release(np.array([0.0, 0.0, site[1]]), site[0]).settled
+        world.hold(make_square(thickness=0.006))
+        again = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
+        assert len(calls) == 1 and again[0] is not site[0]
+        assert again[0].touch_height == pytest.approx(0.006)
+
+        fresh = World(FlatPlane(0.0))
+        fresh.hold(make_square(thickness=0.006))
+        fresh.release(np.array([0.0, 0.0, site[1]]), site[0])
+        fresh.hold(make_square(thickness=0.006))
+        assert descent_bits(fresh.descend_until_contact((0.0, 0.0), 10.0, 0.1)) == (
+            descent_bits(again))
+        # the stamp cannot reach the calibration site, which is still remembered
+        assert world.descend_until_contact(FAR_XY, 10.0, 0.1)[0] is far[0]
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("change", [
+        "com_offset", "footprint_kind", "footprint_size", "bottom", "tip_to_bottom",
+        "threshold", "start_tip_z", "negative_zero_x",
+    ])
+    def test_each_input_of_the_descent_is_keyed(self, change, monkeypatch):
+        base = dict(obj=make_disk(com_offset=np.array([0.002, 0.0, 0.0])),
+                    xy=(0.0, 0.15), threshold=10.0, start=0.1)
+        other = dict(base)
+        other.update({
+            "com_offset": {"obj": make_disk(com_offset=np.array([0.002, 0.0, 1e-3]))},
+            "footprint_kind": {"obj": make_square(com_offset=np.array([0.002, 0.0, 0.0]))},
+            "footprint_size": {"obj": make_disk(radius=0.04,
+                                                com_offset=np.array([0.002, 0.0, 0.0]))},
+            "bottom": {"obj": make_disk(com_offset=np.array([0.002, 0.0, 0.0]),
+                                        bottom=BottomProfile("dome", curvature_radius=0.3))},
+            "tip_to_bottom": {"obj": make_disk(com_offset=np.array([0.002, 0.0, 0.0]),
+                                               tip_to_bottom=0.005)},
+            "threshold": {"threshold": 12.0},
+            "start_tip_z": {"start": 0.11},
+            "negative_zero_x": {"xy": (-0.0, 0.15)},
+        }[change])
+        world = World(FlatPlane(0.0))
+        calls = count_contact_at(monkeypatch)
+        results = []
+        for case in (base, other):
+            world.hold(case["obj"])
+            results.append(world.descend_until_contact(case["xy"], case["threshold"],
+                                                       case["start"]))
+        assert len(calls) == 2 and results[1][0] is not results[0][0]
+        if change == "negative_zero_x":
+            assert np.signbit(results[1][2][:, 0]).all()
+            assert not np.signbit(results[0][2][:, 0]).any()
+
+    def test_a_third_descent_evicts_the_least_recently_used(self, monkeypatch):
+        world = World(FlatPlane(0.0))
+        world.hold(make_disk())
+        a, b, c = (0.1, 0.1), (0.1, -0.1), (-0.1, 0.1)
+        calls = count_contact_at(monkeypatch)
+        for xy in (a, b, a, c):  # a, asked for again, outlives b
+            world.descend_until_contact(xy, 10.0, 0.1)
+        assert len(calls) == 3
+        world.descend_until_contact(c, 10.0, 0.1)
+        world.descend_until_contact(a, 10.0, 0.1)
+        assert len(calls) == 3
+        world.descend_until_contact(b, 10.0, 0.1)
+        assert len(calls) == 4
+
+    def test_failed_descents_are_not_remembered(self):
+        world = World(Puck((0.0, 0.0), 0.05, 0.04))
+        world.hold(make_disk(radius=0.02))
+        raised = []
+        for _ in range(2):
+            with pytest.raises(NoContactWithinRange) as info:
+                world.descend_until_contact((0.2, 0.2), 10.0, 0.1)
+            raised.append(info.value)
+        assert raised[0].tips is not raised[1].tips
+        with pytest.raises(ValueError):
+            world.descend_until_contact((0.0, 0.0), 10.0, 0.04)  # bottom starts inside the puck
+        assert world._descents == []
+
+    def test_a_stack_repeats_its_calibration_press_exactly(self, monkeypatch):
+        descents = []
+        real_descend = World.descend_until_contact
+
+        def counted(self, *args, **kwargs):
+            descents.append(args)
+            return real_descend(self, *args, **kwargs)
+
+        monkeypatch.setattr(World, "descend_until_contact", counted)
+        contacts = count_contact_at(monkeypatch)
+
+        def stack(remember: bool):
+            world = World(FlatPlane(0.0))
+            if not remember:
+                world._descent_key = lambda *args: None
+            objects = [make_square(half=0.05, thickness=0.006) for _ in range(3)]
+            plan = StackPlan(target_xy=(0.0, 0.0),
+                             perturbations=np.array([[0.004, -0.003], [-0.006, 0.005],
+                                                     [0.003, 0.004]]),
+                             calibration_xy=FAR_XY, hover_tip_z=0.1)
+            sensor = ForceTorqueSensor(SensorConfig(), np.random.default_rng(9))
+            return run_stack(world, sensor, objects, plan, PolicyConfig())
+
+        remembered = stack(True)
+        n_descents, n_contacts = len(descents), len(contacts)
+        assert remembered.placed == 3
+        # the second and third calibration presses repeat the first
+        assert n_contacts <= n_descents - 2
+        recomputed = stack(False)
+        assert len(descents) == 2 * n_descents
+        assert len(contacts) - n_contacts == n_descents
+
+        def bits(result):
+            return [(t.outcome, [(r.index, r.released, r.degenerate,
+                                  np.array([*r.press_xy, r.tip_z, r.residual_norm,
+                                            r.press_force, *r.shift]).tobytes())
+                                 for r in t.iterations],
+                     [s.tobytes() for s in t.descent_series],
+                     np.asarray(t.final_com, dtype=float).tobytes(), t.top_height)
+                    for t in result.traces]
+
+        assert bits(remembered) == bits(recomputed)
