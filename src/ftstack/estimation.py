@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spatial import Wrench, Z_HAT, _as_vec3, tangent_projection
+from .spatial import Z_HAT, _as_vec3, tangent_projection
 
 DEFAULT_FORCE_FLOOR = 1.0  # N; presses weaker than this are noise-dominated
 
@@ -93,21 +93,22 @@ def flat_direction(n_hat) -> np.ndarray:
 
 
 def estimate_contact(
-    wrench_at_com: Wrench,
+    torque,
+    force,
     gravity,
     force_floor: float = DEFAULT_FORCE_FLOOR,
 ) -> ContactEstimate:
     """Bundle the full per-press estimate from one converted reading.
 
-    ``wrench_at_com`` is the settled sensor reading converted to the assumed
-    COM frame, with the hover baseline subtracted from the torque channel.
-    The force channel stays as sensed (load on wrist); together with the
-    hover ``gravity`` estimate it forms the force budget, the push being the
-    reaction of the sensed force. Constant sensor bias cancels between the
-    two terms.
+    ``torque`` and ``force`` are the settled sensor reading's (3,) parts,
+    converted to the assumed COM frame, with the hover baseline subtracted
+    from the torque. The force stays as sensed (load on wrist); together
+    with the hover ``gravity`` estimate it forms the force budget, the push
+    being the reaction of the sensed force. Constant sensor bias cancels
+    between the two terms.
     """
     g = _as_vec3(gravity, "gravity")
-    budget = ForceBudget(gravity=g, push=-wrench_at_com.force)
+    budget = ForceBudget(gravity=g, push=-_as_vec3(force, "force"))
     f_n = solve_normal_force(budget)
     press = float(np.linalg.norm(f_n))
     if press <= force_floor:
@@ -115,7 +116,7 @@ def estimate_contact(
             f"press of {press:.3g} N is at or below the floor {force_floor:g} N"
         )
     n_hat = f_n / press
-    r_t = recover_contact_offset(f_n, wrench_at_com.torque, force_floor)
+    r_t = recover_contact_offset(f_n, torque, force_floor)
     # r_T is orthogonal to F_N by construction; keep only its tangent meaning
     return ContactEstimate(
         normal_force=f_n,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import re
 from itertools import repeat
 from pathlib import Path
@@ -41,11 +42,12 @@ from .scenario import (
     build_sensor,
     build_window,
     build_world,
+    check_seed,
     evaluate_expect,
     load_scenario,
     sample_start_xy,
 )
-from .spatial import FrameId, Wrench, cross
+from .spatial import cross
 
 REPORT_VERSION = 1
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -90,28 +92,12 @@ def _listify(a) -> list:
 
 
 def _trace_row(trace) -> dict:
-    """One placement trace's outcome, descent series and iteration rows."""
-    iterations = [
-        {
-            "index": rec.index,
-            "x": float(rec.press_xy[0]),
-            "y": float(rec.press_xy[1]),
-            "tip_z": float(rec.tip_z),
-            "residual_norm": float(rec.residual_norm),
-            "press_force": float(rec.press_force),
-            "released": bool(rec.released),
-            "degenerate": bool(rec.degenerate),
-            "shift_x": float(rec.shift[0]),
-            "shift_y": float(rec.shift[1]),
-        }
-        for rec in trace.iterations
-    ]
+    """One placement's report fields, and its trace for ``write_trace``."""
     return {
         "outcome": trace.outcome.value,
         "iterations": len(trace.iterations),
         "final_com": None if trace.final_com is None else _listify(trace.final_com),
-        "descents": [series.tolist() for series in trace.descent_series],
-        "iteration_rows": iterations,
+        "trace": trace,
     }
 
 
@@ -301,16 +287,13 @@ def _press_trial(scenario: Scenario, trial: int) -> dict:
         sensor = build_sensor(scenario, rng_sen)
         config = build_policy(scenario)
         window = build_window(scenario)
-        hover_true = Wrench(np.zeros(3), np.array([0.0, 0.0, -weight]),
-                            frame=FrameId.ROCK_COM)
+        # true wrenches about the assumed COM: hanging, then pressed at the offset
+        hanging = np.array([0.0, 0.0, -weight])
         finger = np.array([0.0, 0.0, -push])
-        press_true = Wrench(cross(offset, finger), hover_true.force + finger,
-                            frame=FrameId.ROCK_COM)
-        hover = sensor.settle_and_average(hover_true, window)
-        reading = sensor.settle_and_average(press_true, window)
-        calibrated = Wrench(reading.torque - hover.torque, reading.force,
-                            frame=FrameId.ROCK_COM)
-        estimate = estimate_contact(calibrated, hover.force,
+        hover_torque, hover_force = sensor.settle_and_average(np.zeros(3), hanging, window)
+        torque, force = sensor.settle_and_average(cross(offset, finger), hanging + finger,
+                                                  window)
+        estimate = estimate_contact(torque - hover_torque, force, hover_force,
                                     force_floor=config.force_floor)
     except DegenerateNormalForce:
         row.update({"degenerate": True, "angle_error_deg": None})
@@ -327,15 +310,19 @@ def _press_trial(scenario: Scenario, trial: int) -> dict:
 
 
 def _run_trials(scenario: Scenario, jobs: int) -> list[dict]:
+    """Every trial's row, in trial order. A pool has no more workers than
+    trials or CPUs, which all start at its first task; one worker runs in
+    process."""
     family = _FAMILIES[scenario.family]
     runner = family.run
     trials = range(scenario.trials)
-    if jobs <= 1:
+    workers = min(jobs, scenario.trials, os.cpu_count() or 1)
+    if workers <= 1:
         shared = (build_world(scenario),) if family.keeps_terrain else ()
         return [runner(scenario, t, *shared) for t in trials]
     from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         # map preserves order, so results land by trial index
         return list(pool.map(runner, repeat(scenario), trials))
 
@@ -520,23 +507,23 @@ def _r(value) -> str:
     return repr(float(value))
 
 
-def _write_descent_section(lines: list, label: str, series: list) -> None:
-    lines.append(f"# section: descent {label}")
-    lines.append("# columns: t_s f_norm_N tau_norm_Nm")
-    # rows hold floats (the series' tolist), so %r is the text _r gives
-    lines.extend("%r %r %r" % tuple(row) for row in series)
-
-
-def _write_iteration_section(lines: list, iterations: list) -> None:
+def _write_trace_sections(lines: list, trace, prefix: str = "") -> None:
+    """A placement trace's descent sections, labelled ``{prefix}{k}``, then
+    its iteration section, one row per ``IterationRecord``."""
+    for k, series in enumerate(trace.descent_series):
+        lines.append(f"# section: descent {prefix}{k}")
+        lines.append("# columns: t_s f_norm_N tau_norm_Nm")
+        # rows hold floats (the series' tolist), so %r is the text _r gives
+        lines.extend("%r %r %r" % tuple(row) for row in series.tolist())
     lines.append("# section: iterations")
     lines.append("# columns: index x_m y_m tip_z_m residual_norm_Nm press_force_N "
                  "released degenerate shift_x_m shift_y_m")
-    for it in iterations:
+    for rec in trace.iterations:
         lines.append(" ".join([
-            str(it["index"]), _r(it["x"]), _r(it["y"]), _r(it["tip_z"]),
-            _r(it["residual_norm"]), _r(it["press_force"]),
-            str(int(it["released"])), str(int(it["degenerate"])),
-            _r(it["shift_x"]), _r(it["shift_y"]),
+            str(rec.index), _r(rec.press_xy[0]), _r(rec.press_xy[1]), _r(rec.tip_z),
+            _r(rec.residual_norm), _r(rec.press_force),
+            str(int(rec.released)), str(int(rec.degenerate)),
+            _r(rec.shift[0]), _r(rec.shift[1]),
         ]))
 
 
@@ -553,15 +540,11 @@ def write_trace(scenario: Scenario, row: dict, out_dir: Path) -> str:
     elif scenario.family == "multi_stack":
         for obj in row["objects"]:
             lines.append(f"# object: {obj['object']}")
-            for k, series in enumerate(obj["descents"]):
-                _write_descent_section(lines, f"{obj['object']}_{k}", series)
-            _write_iteration_section(lines, obj["iteration_rows"])
+            _write_trace_sections(lines, obj["trace"], f"{obj['object']}_")
             lines.append(f"# outcome: {obj['outcome']}")
     else:
         lines.append(f"# outcome: {row['outcome']}")
-        for k, series in enumerate(row["descents"]):
-            _write_descent_section(lines, str(k), series)
-        _write_iteration_section(lines, row["iteration_rows"])
+        _write_trace_sections(lines, row["trace"])
     lines.append("# end")
     (out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return name
@@ -622,7 +605,7 @@ def emit_contact_plot_data(trace_path, out_dir=None) -> list:
 def _as_scenario(source, seed=None) -> Scenario:
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
     if seed is not None:
-        scenario = dataclasses.replace(scenario, seed=int(seed))
+        scenario = dataclasses.replace(scenario, seed=check_seed(seed))
     return scenario
 
 

@@ -28,13 +28,7 @@ from .estimation import (
     estimate_contact,
 )
 from .sensor import ForceTorqueSensor, ReadingWindow
-from .spatial import (
-    FrameId,
-    RigidTransform,
-    Wrench,
-    transform_wrench,
-    transform_wrenches,
-)
+from .spatial import FrameId, RigidTransform, transform_wrenches
 from .world import ContactResult, HeldObject, NoContactWithinRange, World
 
 
@@ -72,17 +66,17 @@ class PolicyConfig:
 
 @dataclass(frozen=True, eq=False)
 class PressOutcome:
-    """One settled press: geometry, the referenced residual, and the estimate."""
+    """One settled press: geometry, the referenced torque residual, and the estimate."""
 
     contact: ContactResult
     tip_pose: np.ndarray
-    residual: Wrench            # torque minus hover and flat reference; force raw
+    residual_torque: np.ndarray  # assumed-COM torque minus hover and flat reference
     estimate: ContactEstimate | None
     degenerate: bool
 
     @property
     def residual_norm(self) -> float:
-        return float(np.linalg.norm(self.residual.torque))
+        return float(np.linalg.norm(self.residual_torque))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +95,9 @@ class IterationRecord:
 class PlacementTrace:
     outcome: PlacementOutcome
     iterations: tuple[IterationRecord, ...]
-    descent_series: tuple[np.ndarray, ...]  # per press, rows (t, |f|, |tau|)
+    # per iteration, rows (t, |f|, |tau|): the descent each iteration starts
+    # with; a degenerate press's retry reads no rows
+    descent_series: tuple[np.ndarray, ...]
     final_com: np.ndarray | None = None
     top_height: float | None = None
 
@@ -110,15 +106,16 @@ class PlacementTrace:
 class Calibration:
     """Hover baseline and flat-press torque reference of the held object.
 
-    Both come from settled readings taken to the assumed-COM frame: the
-    hover wrench, and the flat-press torque minus the hover torque. The
-    readings carry the same constant sensor bias, which later subtractions
-    cancel. Only ``calibrate_for_held`` builds one, after both phases have
-    run.
+    All three are read-only (3,) arrays in the assumed-COM frame, from
+    settled readings taken there: the hover torque and force, and the
+    flat-press torque minus the hover torque. The readings carry the same
+    constant sensor bias, which later subtractions cancel. Only
+    ``calibrate_for_held`` builds one, after both phases have run.
     """
 
-    hover: Wrench                 # assumed-COM frame
-    torque_reference: np.ndarray  # flat-press torque minus hover torque, read-only
+    hover_torque: np.ndarray
+    hover_force: np.ndarray
+    torque_reference: np.ndarray  # flat-press torque minus hover torque
 
 
 @functools.lru_cache(maxsize=8)
@@ -146,7 +143,7 @@ def propose_shift(estimate: ContactEstimate, config: PolicyConfig) -> np.ndarray
     return full[:2].copy()
 
 
-def _descent_rows(g_wr: RigidTransform, hover: Wrench, sensor: ForceTorqueSensor,
+def _descent_rows(g_wr: RigidTransform, calibration: Calibration, sensor: ForceTorqueSensor,
                   torque_rows: np.ndarray, force_rows: np.ndarray) -> np.ndarray:
     """Trace rows (t, |f|, |tau|) of a descent's true wrist-wrench rows.
 
@@ -158,8 +155,8 @@ def _descent_rows(g_wr: RigidTransform, hover: Wrench, sensor: ForceTorqueSensor
     torque, force = transform_wrenches(g_wr, *sensor.read_rows(torque_rows, force_rows))
     return np.column_stack([
         ticks / sensor.config.sample_rate,
-        _row_norms(force - hover.force),
-        _row_norms(torque - hover.torque),
+        _row_norms(force - calibration.hover_force),
+        _row_norms(torque - calibration.hover_torque),
     ])
 
 
@@ -169,11 +166,13 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
-def settle_reading_at(world: World, sensor: ForceTorqueSensor, window: ReadingWindow,
-                      tip_pose, contact: ContactResult | None) -> Wrench:
-    """Settled, averaged sensor reading at a held pose, wrist frame."""
-    true_w = world.true_wrist_wrench(tip_pose, contact)
-    return sensor.settle_and_average(true_w, window)
+def _settled_at_com(world: World, sensor: ForceTorqueSensor, window: ReadingWindow,
+                    tip_pose, contact: ContactResult | None) -> tuple[np.ndarray, np.ndarray]:
+    """Settled, averaged sensor reading at a held pose, taken to the
+    assumed-COM frame: its (3,) torque and force."""
+    tau, f = sensor.settle_and_average(*world.true_wrist_wrench(tip_pose, contact), window)
+    tau, f = transform_wrenches(com_frame_transform(world.params.wrist_lift), tau[None], f[None])
+    return tau[0], f[0]
 
 
 def calibrate_for_held(world: World, sensor: ForceTorqueSensor, config: PolicyConfig,
@@ -189,23 +188,21 @@ def calibrate_for_held(world: World, sensor: ForceTorqueSensor, config: PolicyCo
     xy = np.asarray(calibration_xy, dtype=float)
     hover_tip = np.array([xy[0], xy[1], float(hover_tip_z)])
 
-    hover = settle_reading_at(world, sensor, window, hover_tip, None)
-    if hover.force[2] >= 0.0:
+    hover_torque, hover_force = _settled_at_com(world, sensor, window, hover_tip, None)
+    if hover_force[2] >= 0.0:
         raise ValueError(
-            f"hover reading shows no hanging weight (fz = {hover.force[2]:.3g} N)"
+            f"hover reading shows no hanging weight (fz = {hover_force[2]:.3g} N)"
         )
 
     contact, tip_z, _, _ = world.descend_until_contact(
         xy, config.resistance_threshold, float(hover_tip_z)
     )
     press_tip = np.array([xy[0], xy[1], tip_z])
-    flat = settle_reading_at(world, sensor, window, press_tip, contact)
-    g_wr = com_frame_transform(world.params.wrist_lift)
-    hover_com = transform_wrench(g_wr, hover)
-    flat_com = transform_wrench(g_wr, flat)
-    torque_reference = flat_com.torque - hover_com.torque
-    torque_reference.setflags(write=False)  # every press of the object shares it
-    return Calibration(hover=hover_com, torque_reference=torque_reference)
+    flat_torque, _ = _settled_at_com(world, sensor, window, press_tip, contact)
+    torque_reference = flat_torque - hover_torque
+    for a in (hover_torque, hover_force, torque_reference):
+        a.setflags(write=False)  # every press of the object shares them
+    return Calibration(hover_torque, hover_force, torque_reference)
 
 
 def press_and_estimate(world: World, sensor: ForceTorqueSensor,
@@ -224,18 +221,12 @@ def _settle_and_estimate(world: World, sensor: ForceTorqueSensor,
                          window: ReadingWindow, xy, contact: ContactResult,
                          tip_z: float) -> PressOutcome:
     """Settle a reading at a descent's stop and form the referenced estimate."""
-    g_wr = com_frame_transform(world.params.wrist_lift)
     tip = np.array([xy[0], xy[1], tip_z])
-    reading = transform_wrench(g_wr, settle_reading_at(world, sensor, window, tip, contact))
-
-    hover = calibration.hover
-    residual = Wrench(
-        reading.torque - hover.torque - calibration.torque_reference,
-        reading.force,
-        frame=reading.frame,
-    )
+    torque, force = _settled_at_com(world, sensor, window, tip, contact)
+    residual_torque = torque - calibration.hover_torque - calibration.torque_reference
     try:
-        estimate = estimate_contact(residual, hover.force, force_floor=config.force_floor)
+        estimate = estimate_contact(residual_torque, force, calibration.hover_force,
+                                    force_floor=config.force_floor)
         degenerate = False
     except DegenerateNormalForce:
         estimate = None
@@ -243,7 +234,7 @@ def _settle_and_estimate(world: World, sensor: ForceTorqueSensor,
     return PressOutcome(
         contact=contact,
         tip_pose=tip,
-        residual=residual,
+        residual_torque=residual_torque,
         estimate=estimate,
         degenerate=degenerate,
     )
@@ -276,14 +267,14 @@ def run_placement(world: World, sensor: ForceTorqueSensor,
             )
         except NoContactWithinRange as exc:
             rows = world.wrist_wrench_rows(exc.tips, exc.forces, None)
-            series.append(_descent_rows(g_wr, calibration.hover, sensor, *rows))
+            series.append(_descent_rows(g_wr, calibration, sensor, *rows))
             return PlacementTrace(
                 outcome=PlacementOutcome.NO_CONTACT,
                 iterations=tuple(records),
                 descent_series=tuple(series),
             )
         rows = world.wrist_wrench_rows(tips, forces, contact)
-        series.append(_descent_rows(g_wr, calibration.hover, sensor, *rows))
+        series.append(_descent_rows(g_wr, calibration, sensor, *rows))
         press = _settle_and_estimate(world, sensor, calibration, config, window,
                                      xy, contact, tip_z)
 

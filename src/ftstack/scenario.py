@@ -82,6 +82,11 @@ def _int(value, path: str, lo=None) -> int:
     return value
 
 
+def check_seed(value) -> int:
+    """A scenario's seed, from its file or an override: a non-negative integer."""
+    return _int(value, "scenario.seed", lo=0)
+
+
 def _bool(value, path: str) -> bool:
     if not isinstance(value, bool):
         _fail(path, f"expected a boolean, got {value!r}")
@@ -585,8 +590,10 @@ class Scenario:
         name = d["name"]
         if not isinstance(name, str) or not name:
             _fail("scenario.name", f"expected a non-empty string, got {name!r}")
+        if not name.isprintable():  # it heads every trace, one line of text
+            _fail("scenario.name", f"expected printable characters only, got {name!r}")
         family = _choice(d["family"], FAMILIES, "scenario.family")
-        seed = _int(d["seed"], "scenario.seed", lo=0)
+        seed = check_seed(d["seed"])
         trials = _int(d["trials"], "scenario.trials", lo=1)
 
         reads = {**_FAMILY_SECTIONS[family], **_COMMON_SECTIONS}

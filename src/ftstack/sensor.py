@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spatial import Wrench, _as_vec3
+from .spatial import _as_vec3
 
 
 class InsufficientSamples(RuntimeError):
@@ -97,9 +97,11 @@ class ForceTorqueSensor:
         read = read.reshape(-1, 2, 3)  # (0, 2, 3) for no rows
         return read[:, 0], read[:, 1]
 
-    def settle_and_average(self, true_wrench: Wrench, window: ReadingWindow) -> Wrench:
+    def settle_and_average(self, torque, force,
+                           window: ReadingWindow) -> tuple[np.ndarray, np.ndarray]:
         """Discard the settle span, then average the window into one reading
-        of a constant (quasi-static) true wrench, one tick per sample."""
+        of a constant (quasi-static) true wrench, given as its (3,) torque and
+        force, one tick per sample; returns the (3,) torque and force read."""
         n_settle = int(np.floor(window.settle_time * self.config.sample_rate))
         n_avg = int(np.floor(window.average_time * self.config.sample_rate))
         if n_avg < 1:
@@ -108,7 +110,7 @@ class ForceTorqueSensor:
                 f"{self.config.sample_rate} Hz"
             )
         n = n_settle + n_avg
-        read = self.read_rows([true_wrench.torque] * n, [true_wrench.force] * n)
+        torque, force = _as_vec3(torque, "torque"), _as_vec3(force, "force")
+        read = self.read_rows([torque] * n, [force] * n)
         # the kept rows summed in order from 0.0, as a per-tick += sums them
-        tau, f = (np.add.reduce(rows[n_settle:], axis=0, initial=0.0) / n_avg for rows in read)
-        return Wrench(tau, f, frame=true_wrench.frame)
+        return tuple(np.add.reduce(rows[n_settle:], axis=0, initial=0.0) / n_avg for rows in read)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spatial import FrameId, Wrench, cross
+from .spatial import cross
 from .surfaces import HeightField, LayeredSurface
 
 
@@ -384,8 +384,10 @@ class World:
 
     # -- wrench synthesis ---------------------------------------------------
 
-    def true_wrist_wrench(self, tip_pose, contact: ContactResult | None) -> Wrench:
-        """Load-on-wrist wrench about the sensor origin, wrist frame.
+    def true_wrist_wrench(self, tip_pose, contact: ContactResult | None,
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """Load-on-wrist wrench about the sensor origin, wrist frame, as its
+        (3,) torque and force: the one row ``wrist_wrench_rows`` gives the pose.
 
         Equals the gravity wrench of the distal load plus the contact wrench;
         the gripper's supporting wrench is their negation and is what the arm
@@ -394,7 +396,7 @@ class World:
         tips = np.asarray(tip_pose, dtype=float)[None, :]
         forces = np.array([0.0 if contact is None else contact.normal_force_magnitude])
         tau, f = self.wrist_wrench_rows(tips, forces, contact)
-        return Wrench(tau[0], f[0], frame=FrameId.WRIST)
+        return tau[0], f[0]
 
     def wrist_wrench_rows(self, tips, forces, contact: ContactResult | None):
         """Torque and force rows of the true wrist wrench at (N, 3) tip poses.

@@ -17,7 +17,7 @@ from ftstack.estimation import (
     solve_normal_force,
     tangent_residual,
 )
-from ftstack.spatial import Wrench, tangent_projection
+from ftstack.spatial import tangent_projection
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:
@@ -136,13 +136,13 @@ class TestEstimateContact:
         """
         force = np.asarray(gravity) + np.asarray(f_n)
         torque = np.cross(r, f_n)
-        return Wrench(torque, force)
+        return torque, force
 
     def test_identity_on_exact_input(self):
         gravity = np.array([0.0, 0.0, -9.81])
         f_n = np.array([0.0, 0.0, 10.0])
         r = np.array([0.02, -0.01, 0.0])
-        est = estimate_contact(self.synth_reading(gravity, f_n, r), gravity)
+        est = estimate_contact(*self.synth_reading(gravity, f_n, r), gravity)
         np.testing.assert_allclose(est.normal_force, f_n, atol=1e-15)
         np.testing.assert_allclose(est.normal_dir, [0.0, 0.0, 1.0], atol=1e-15)
         np.testing.assert_allclose(est.tangent_offset, r, atol=1e-15)
@@ -159,9 +159,9 @@ class TestEstimateContact:
                 continue
             r = rng.normal(scale=0.03, size=3)
             base = estimate_contact(
-                self.synth_reading(gravity, 10.0 * n, r), gravity)
+                *self.synth_reading(gravity, 10.0 * n, r), gravity)
             strong = estimate_contact(
-                self.synth_reading(gravity, 37.0 * n, r), gravity)
+                *self.synth_reading(gravity, 37.0 * n, r), gravity)
             np.testing.assert_allclose(
                 strong.tangent_offset, base.tangent_offset, atol=1e-12)
             np.testing.assert_allclose(strong.normal_dir, base.normal_dir, atol=1e-12)
@@ -170,15 +170,14 @@ class TestEstimateContact:
 
     def test_degenerate_when_hover_equals_press(self):
         gravity = np.array([0.0, 0.0, -9.81])
-        hoverish = Wrench(np.zeros(3), gravity)
         with pytest.raises(DegenerateNormalForce):
-            estimate_contact(hoverish, gravity)
+            estimate_contact(np.zeros(3), gravity, gravity)
 
     def test_tangent_residual_zero_for_consistent_reference(self):
         gravity = np.array([0.0, 0.0, -9.81])
         f_n = np.array([1.0, 0.5, 9.0])
         r = np.array([0.015, -0.02, 0.004])
-        est = estimate_contact(self.synth_reading(gravity, f_n, r), gravity)
+        est = estimate_contact(*self.synth_reading(gravity, f_n, r), gravity)
         np.testing.assert_allclose(tangent_residual(est, r), 0.0, atol=1e-12)
 
     def test_budget_rejects_upward_gravity(self):

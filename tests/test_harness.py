@@ -20,7 +20,8 @@ from ftstack.harness import (
     sweep_offsets,
     wilson_interval,
 )
-from ftstack.scenario import Scenario, save_scenario
+from ftstack.scenario import Scenario, ScenarioError, save_scenario
+from ftstack.spatial import Wrench
 from ftstack.world import World
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -175,6 +176,16 @@ class TestReports:
         offs1 = [t["com_offset"] for t in r1["results"]["per_trial"]]
         offs2 = [t["com_offset"] for t in r2["results"]["per_trial"]]
         assert offs1 != offs2
+
+    @pytest.mark.parametrize("seed, problem", [
+        (-3, "must be >= 0, got -3"),
+        (1.7, "expected an integer, got 1.7"),
+        (False, "expected an integer, got False"),
+    ])
+    def test_seed_override_is_checked_as_the_scenario_seed(self, seed, problem):
+        with pytest.raises(ScenarioError) as caught:
+            run_scenario(tiny_placement(trials=1), seed=seed)
+        assert str(caught.value) == f"scenario.seed: {problem}"
 
     def test_press_report_counts_degenerate_trials(self):
         report = finger_press_check(tiny_press())
@@ -334,7 +345,89 @@ class TestArtifacts:
             emit_contact_plot_data(bare)
 
 
+class TestPool:
+    """``_run_trials`` starts no more workers than trials or CPUs."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        import concurrent.futures
+
+        made = []
+
+        class InProcessPool:
+            # records its size and maps in process, so no worker is ever started
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool,
+                            raising=False)
+        return made
+
+    @pytest.mark.parametrize("jobs, trials, cpus, workers", [
+        (5000, 3, 4, [3]),
+        (3, 5, 2, [2]),
+        (2, 3, 8, [2]),
+        (8, 1, 4, []),     # one trial runs in process
+        (8, 3, None, []),  # an unknown CPU count counts as one
+        (1, 3, 4, []),
+    ])
+    def test_workers_are_bounded(self, pools, monkeypatch, jobs, trials, cpus, workers):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        scenario = tiny_placement(trials=trials)
+        rows = harness._run_trials(scenario, jobs)
+        assert pools == workers
+        assert [r["trial"] for r in rows] == list(range(trials))
+        assert all("error" not in r for r in rows)
+
+
+class TestReadings:
+    def test_runs_build_no_wrench(self, monkeypatch, tmp_path):
+        # readings travel as (3,) torque and force arrays from sensor to estimator
+        builds = []
+        post_init = Wrench.__post_init__
+
+        def counted(self):
+            builds.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Wrench, "__post_init__", counted)
+        for name in ("zero_offset_noiseless", "multi_stack_6", "noise_sweep", "finger_press"):
+            report = run_scenario(SCENARIO_DIR / f"{name}.yaml", out_dir=tmp_path / name)
+            assert report["passed"], name
+        assert builds == []
+        Wrench(np.zeros(3), np.zeros(3))  # a build the count does see
+        assert len(builds) == 1
+
+    def test_report_rows_leave_the_trace_out(self):
+        report = run_scenario(SCENARIO_DIR / "multi_stack_6.yaml")
+        for row in report["results"]["per_trial"]:
+            assert set(row) == {"trial", "placed", "success", "objects"}
+            for obj in row["objects"]:
+                assert set(obj) == {"object", "outcome", "iterations", "final_com"}
+
+
 class TestDeterminism:
+    def test_stack_traces_are_the_same_for_any_jobs(self, tmp_path):
+        # pooled, every PlacementTrace comes back from a worker through pickle
+        path = SCENARIO_DIR / "multi_stack_6.yaml"
+        one, two = tmp_path / "one", tmp_path / "two"
+        run_scenario(path, out_dir=one, jobs=1)
+        run_scenario(path, out_dir=two, jobs=2)
+        names = sorted(p.name for p in one.iterdir())
+        assert names == ["report.yaml"] + [f"trial_{k:03d}.trace" for k in range(3)]
+        assert names == sorted(p.name for p in two.iterdir())
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+
     def test_reports_and_traces_are_byte_identical(self, tmp_path):
         scenario = tiny_placement()
         a, b = tmp_path / "a", tmp_path / "b"
@@ -422,6 +515,11 @@ class TestCli:
         assert code == 1
         assert "trial errors: 1" in out
         assert "result: FAIL" in out
+
+    def test_negative_seed_override_exits_two_with_its_field(self, tmp_path, capsys):
+        path = self.scenario_file(tmp_path, tiny_placement(trials=1))
+        assert main(["run", str(path), "--seed", "-3"]) == 2
+        assert capsys.readouterr().err == "error: scenario.seed: must be >= 0, got -3\n"
 
     def test_unusable_inputs_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.yaml")]) == 2

@@ -91,8 +91,12 @@ class TestCalibration:
                                  np.random.default_rng(0))
         state = calibrated(world, sensor, config)
         assert isinstance(state, Calibration)
-        np.testing.assert_allclose(state.hover.force, [0, 0, -9.81], atol=1e-9)
-        assert state.hover.frame is FrameId.ROCK_COM
+        np.testing.assert_allclose(state.hover_force, [0, 0, -9.81], atol=1e-9)
+        # the hover window's last tick (2 + 12 samples) taken to the assumed COM
+        hover = transform_wrench(com_frame_transform(world.params.wrist_lift),
+                                 sensor.by_time[(2 + 12) / 25.0])
+        np.testing.assert_allclose(state.hover_torque, hover.torque, atol=1e-9)
+        np.testing.assert_allclose(state.hover_force, hover.force, atol=1e-9)
         # the last tick is the flat press: the 10 N threshold bears on the weight
         flat = sensor.by_time[max(sensor.by_time)]
         np.testing.assert_allclose(flat.force, [0, 0, -9.81 + 10.0], atol=1e-9)
@@ -286,13 +290,12 @@ class TestDescentRows:
         trace = run_placement(world, sensor, state, config, start_xy, 0.1)
 
         g_wr = com_frame_transform(world.params.wrist_lift)
-        hover = state.hover
         assert sum(len(series) for series in trace.descent_series) > 0
         for series in trace.descent_series:
             for t, f_norm, tau_norm in series:
                 sampled = transform_wrench(g_wr, sensor.by_time[t])
-                assert f_norm == float(np.linalg.norm(sampled.force - hover.force))
-                assert tau_norm == float(np.linalg.norm(sampled.torque - hover.torque))
+                assert f_norm == float(np.linalg.norm(sampled.force - state.hover_force))
+                assert tau_norm == float(np.linalg.norm(sampled.torque - state.hover_torque))
 
 
 class TestReleaseSoundness:

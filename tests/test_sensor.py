@@ -174,22 +174,22 @@ class TestWindows:
     def test_default_window_consumes_two_plus_twelve_samples(self):
         # 0.1 s settle -> floor(2.5) = 2 discarded; 0.5 s -> floor(12.5) = 12
         s = ForceTorqueSensor(SensorConfig(), np.random.default_rng(5))
-        s.settle_and_average(HOVER, ReadingWindow())
+        s.settle_and_average(HOVER.torque, HOVER.force, ReadingWindow())
         assert s._samples == 14
 
     def test_average_matches_the_per_tick_sum_bit_for_bit(self):
         cfg = SensorConfig(bias_force=(0.5, -0.3, 1.2), drift_torque=(0.001, 0.0, -0.002))
         rng = np.random.default_rng(8)
         s = ForceTorqueSensor(cfg, np.random.default_rng(8))
-        reading = s.settle_and_average(HOVER, ReadingWindow())
+        torque, force = s.settle_and_average(HOVER.torque, HOVER.force, ReadingWindow())
         ticks = [reference_sample(cfg, rng, HOVER.torque, HOVER.force, i) for i in range(14)]
         acc_tau, acc_f = np.zeros(3), np.zeros(3)
         for tau, f in ticks[2:]:  # two settle ticks discarded
             acc_tau += tau
             acc_f += f
-        assert reading.frame is FrameId.WRIST
-        assert np.array_equal(reading.torque, acc_tau / 12)
-        assert np.array_equal(reading.force, acc_f / 12)
+        assert torque.shape == force.shape == (3,)
+        assert np.array_equal(torque, acc_tau / 12)
+        assert np.array_equal(force, acc_f / 12)
         assert s._rng.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("settle, average", [(0.0, 0.04), (0.2, 0.52), (0.0, 7.2)])
@@ -200,7 +200,8 @@ class TestWindows:
         rng = np.random.default_rng(9)
         s = ForceTorqueSensor(cfg, np.random.default_rng(9))
         press = Wrench((0.0, -0.2, 0.01), (0.3, 0.0, 0.19), frame=FrameId.WRIST)
-        reading = s.settle_and_average(press, ReadingWindow(settle, average))
+        torque, force = s.settle_and_average(press.torque, press.force,
+                                             ReadingWindow(settle, average))
         n_settle, n_avg = int(settle * 25.0), int(average * 25.0)
         acc_tau, acc_f = np.zeros(3), np.zeros(3)
         for i in range(n_settle + n_avg):
@@ -208,8 +209,8 @@ class TestWindows:
             if i >= n_settle:
                 acc_tau += tau
                 acc_f += f
-        assert_same_bits(reading.torque, acc_tau / n_avg)
-        assert_same_bits(reading.force, acc_f / n_avg)
+        assert_same_bits(torque, acc_tau / n_avg)
+        assert_same_bits(force, acc_f / n_avg)
         assert s.ticks == n_settle + n_avg
         assert s._rng.bit_generator.state == rng.bit_generator.state
 
@@ -217,7 +218,7 @@ class TestWindows:
         s = ForceTorqueSensor(SensorConfig(), np.random.default_rng(6))
         window = ReadingWindow(settle_time=0.0, average_time=0.48)  # 12 samples
         means = np.array(
-            [s.settle_and_average(HOVER, window).force for _ in range(400)]
+            [s.settle_and_average(HOVER.torque, HOVER.force, window)[1] for _ in range(400)]
         )
         std = means.std(axis=0)
         np.testing.assert_allclose(std, 0.25 / np.sqrt(12), rtol=0.12)
@@ -225,7 +226,7 @@ class TestWindows:
     def test_empty_window_rejected(self):
         s = ForceTorqueSensor(SensorConfig(), np.random.default_rng(0))
         with pytest.raises(InsufficientSamples):
-            s.settle_and_average(HOVER, ReadingWindow(average_time=0.01))
+            s.settle_and_average(HOVER.torque, HOVER.force, ReadingWindow(average_time=0.01))
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -264,9 +265,9 @@ class TestCalibration:
 
         def differenced(cfg):
             s = ForceTorqueSensor(cfg, np.random.default_rng(0))
-            hover = s.settle_and_average(HOVER, window)
-            read = s.settle_and_average(press, window)
-            return read.torque - hover.torque, read.force - hover.force
+            hover_tau, hover_f = s.settle_and_average(HOVER.torque, HOVER.force, window)
+            tau, f = s.settle_and_average(press.torque, press.force, window)
+            return tau - hover_tau, f - hover_f
 
         tau_b, f_b = differenced(biased)
         tau_c, f_c = differenced(clean)

@@ -236,11 +236,11 @@ class TestBatchedDescent:
         contact, tip_z, _, _ = world.descend_until_contact((0.01, 0.02), 10.0, 0.1)
         tip = np.array([0.01, 0.02, tip_z])
         for c in (None, contact):
-            w = world.true_wrist_wrench(tip, c)
+            torque, force = world.true_wrist_wrench(tip, c)
             args = () if c is None else (c.contact_point, c.force)
             tau, f = reference_wrist_wrench(world, tip, *args)
-            assert np.array_equal(w.torque, tau)
-            assert np.array_equal(w.force, f)
+            assert np.array_equal(torque, tau)
+            assert np.array_equal(force, f)
 
 
 def reference_contact_geometry(world, touch, pts, tower):
@@ -355,20 +355,22 @@ class TestWristWrench:
             contact_patch=c[None, :],
             touch_height=float(c[2]),
         )
-        w = world.true_wrist_wrench(tip, contact)
+        torque, force = world.true_wrist_wrench(tip, contact)
 
         g = params.gravity
         f_obj = np.array([0.0, 0.0, -1.3 * g])
         f_grip = np.array([0.0, 0.0, -0.2 * g])
         f_c = np.array([0.0, 0.0, 10.0])
-        np.testing.assert_allclose(w.force, f_obj + f_grip + f_c, atol=1e-12)
+        np.testing.assert_allclose(force, f_obj + f_grip + f_c, atol=1e-12)
         tau = (
             np.cross(tip + obj.com_offset - wrist, f_obj)
             + np.cross(tip - wrist, f_grip)
             + np.cross(c - wrist, f_c)
         )
-        np.testing.assert_allclose(w.torque, tau, atol=1e-12)
-        assert w.frame is FrameId.WRIST
+        np.testing.assert_allclose(torque, tau, atol=1e-12)
+        # the wrist-frame row that wrist_wrench_rows gives the pose
+        rows = world.wrist_wrench_rows(tip[None, :], np.array([10.0]), contact)
+        assert np.array_equal(torque, rows[0][0]) and np.array_equal(force, rows[1][0])
 
     def test_estimator_recovers_the_simulated_contact(self):
         # whole-chain check with no sensor in the loop: synthesize the hover
@@ -379,14 +381,16 @@ class TestWristWrench:
         g_wr = com_frame_transform(world.params.wrist_lift)
 
         hover_tip = np.array([0.0, 0.0, 0.1])
-        hover = transform_wrench(g_wr, world.true_wrist_wrench(hover_tip, None))
+        hover = transform_wrench(
+            g_wr, Wrench(*world.true_wrist_wrench(hover_tip, None), frame=FrameId.WRIST))
 
         contact, tip_z, _, _ = world.descend_until_contact((0.0, 0.0), 10.0, 0.1)
         tip = np.array([0.0, 0.0, tip_z])
-        press = transform_wrench(g_wr, world.true_wrist_wrench(tip, contact))
+        press = transform_wrench(
+            g_wr, Wrench(*world.true_wrist_wrench(tip, contact), frame=FrameId.WRIST))
 
-        calibrated = Wrench(press.torque - hover.torque, press.force, frame=press.frame)
-        est = estimate_contact(calibrated, hover.force, force_floor=1.0)
+        est = estimate_contact(press.torque - hover.torque, press.force, hover.force,
+                               force_floor=1.0)
         np.testing.assert_allclose(est.press_magnitude, 10.0, atol=1e-9)
         np.testing.assert_allclose(est.tangent_offset, [0.02, 0.01, 0.0], atol=1e-9)
         np.testing.assert_allclose(est.normal_dir, [0.0, 0.0, 1.0], atol=1e-12)
