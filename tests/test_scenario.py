@@ -465,18 +465,6 @@ class TestKeyTables:
     """Every section key: its fault messages, defaults, nulls and round trip."""
 
     @pytest.mark.parametrize("make, path, value, message", [
-    # the name heads every trace file, so a line break could forge a section
-    (full_placement, "name", "x\n# section: descent 9\n1.0 2.0 3.0",
-     "scenario.name: expected printable characters only, "
-     "got 'x\\n# section: descent 9\\n1.0 2.0 3.0'"),
-    (full_placement, "name", "tab\tname",
-     "scenario.name: expected printable characters only, got 'tab\\tname'"),
-    (full_placement, "name", "line\u2028break",
-     "scenario.name: expected printable characters only, got 'line\\u2028break'"),
-    (full_placement, "seed", -3,
-     "scenario.seed: must be >= 0, got -3"),
-    (full_placement, "seed", 1.7,
-     "scenario.seed: expected an integer, got 1.7"),
     (full_placement, "world.surfaces", DELETE,
      "scenario.world: missing required key 'surfaces'"),
     (full_placement, "world.surfaces", {},
@@ -705,6 +693,25 @@ class TestKeyTables:
 
     ])
     def test_single_fault(self, make, path, value, message):
+        with pytest.raises(ScenarioError) as caught:
+            Scenario.from_dict(_set(make(), path, value))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("make, path, value, message", [
+        # the name heads every trace file, so a line break could forge a section
+        (full_placement, "name", "x\n# section: descent 9\n1.0 2.0 3.0",
+         "scenario.name: expected printable characters only, "
+         "got 'x\\n# section: descent 9\\n1.0 2.0 3.0'"),
+        (full_placement, "name", "tab\tname",
+         "scenario.name: expected printable characters only, got 'tab\\tname'"),
+        (full_placement, "name", "line\u2028break",
+         "scenario.name: expected printable characters only, got 'line\\u2028break'"),
+        (full_placement, "seed", -3,
+         "scenario.seed: must be >= 0, got -3"),
+        (full_placement, "seed", 1.7,
+         "scenario.seed: expected an integer, got 1.7"),
+    ])
+    def test_name_and_seed_faults(self, make, path, value, message):
         with pytest.raises(ScenarioError) as caught:
             Scenario.from_dict(_set(make(), path, value))
         assert str(caught.value) == message
