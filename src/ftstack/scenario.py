@@ -8,6 +8,7 @@ the validated sections into live world, object, sensor, and policy values.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -83,7 +84,10 @@ def _int(value, path: str, lo=None) -> int:
 
 
 def check_seed(value) -> int:
-    """A scenario's seed, from its file or an override: a non-negative integer."""
+    """A scenario's seed, from its file or an override: a non-negative integer.
+    An override may be any integer type (``np.int64``, say), never a bool."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        value = operator.index(value)
     return _int(value, "scenario.seed", lo=0)
 
 

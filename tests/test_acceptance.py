@@ -255,7 +255,7 @@ def test_criterion_10_stability_oracle_equivalence():
           f"({stable_seen} stable, {500 - stable_seen} not)")
 
 
-def test_criterion_11_byte_identical_reports(tmp_path):
+def test_criterion_11_byte_identical_reports(tmp_path, pooled):
     pairs = []
     for name, jobs_b in (("zero_offset_noiseless", 2), ("finger_press", 1)):
         a_dir = tmp_path / f"{name}_a"
@@ -268,6 +268,7 @@ def test_criterion_11_byte_identical_reports(tmp_path):
         for f in files_a:
             assert (a_dir / f).read_bytes() == (b_dir / f).read_bytes()
         pairs.append((name, len(files_a)))
+    assert pooled == [2]  # zero_offset_noiseless's second run had a pool of two
     detail = ", ".join(f"{name}: {n} files" for name, n in pairs)
     print(f"criterion 11: byte-identical artifacts across re-runs ({detail})")
 

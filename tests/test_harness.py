@@ -177,10 +177,15 @@ class TestReports:
         offs2 = [t["com_offset"] for t in r2["results"]["per_trial"]]
         assert offs1 != offs2
 
+    def test_seed_override_takes_any_integer_type(self):
+        report = run_scenario(tiny_placement(trials=1), seed=np.int64(999))
+        assert report["seed"] == 999 and type(report["seed"]) is int
+
     @pytest.mark.parametrize("seed, problem", [
         (-3, "must be >= 0, got -3"),
         (1.7, "expected an integer, got 1.7"),
         (False, "expected an integer, got False"),
+        (np.int64(-3), "must be >= 0, got -3"),
     ])
     def test_seed_override_is_checked_as_the_scenario_seed(self, seed, problem):
         with pytest.raises(ScenarioError) as caught:
@@ -240,12 +245,13 @@ class TestSweep:
         assert len(lines) == 1 + 8
 
 
-    def test_shipped_sweep_writes_the_same_files_for_any_jobs(self, tmp_path):
+    def test_shipped_sweep_writes_the_same_files_for_any_jobs(self, tmp_path, pooled):
         # in process the trials share one world; pooled, each task builds its own
         path = SCENARIO_DIR / "noise_sweep.yaml"
         one, two = tmp_path / "one", tmp_path / "two"
         run_scenario(path, out_dir=one, jobs=1)
         run_scenario(path, out_dir=two, jobs=2)
+        assert pooled == [2]
         names = sorted(p.name for p in one.iterdir())
         assert names == ["report.yaml", "sweep.csv"]
         assert names == sorted(p.name for p in two.iterdir())
@@ -416,23 +422,25 @@ class TestReadings:
 
 
 class TestDeterminism:
-    def test_stack_traces_are_the_same_for_any_jobs(self, tmp_path):
+    def test_stack_traces_are_the_same_for_any_jobs(self, tmp_path, pooled):
         # pooled, every PlacementTrace comes back from a worker through pickle
         path = SCENARIO_DIR / "multi_stack_6.yaml"
         one, two = tmp_path / "one", tmp_path / "two"
         run_scenario(path, out_dir=one, jobs=1)
         run_scenario(path, out_dir=two, jobs=2)
+        assert pooled == [2]
         names = sorted(p.name for p in one.iterdir())
         assert names == ["report.yaml"] + [f"trial_{k:03d}.trace" for k in range(3)]
         assert names == sorted(p.name for p in two.iterdir())
         for name in names:
             assert (one / name).read_bytes() == (two / name).read_bytes()
 
-    def test_reports_and_traces_are_byte_identical(self, tmp_path):
+    def test_reports_and_traces_are_byte_identical(self, tmp_path, pooled):
         scenario = tiny_placement()
         a, b = tmp_path / "a", tmp_path / "b"
         run_scenario(scenario, out_dir=a, jobs=1)
         run_scenario(scenario, out_dir=b, jobs=2)
+        assert pooled == [2]
         for name in ["report.yaml"] + [f"trial_{k:03d}.trace" for k in range(3)]:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
