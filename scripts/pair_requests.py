@@ -14,8 +14,10 @@ alternating which tree runs first from one request to the next. Only
 Speed drifts between sessions on a shared host, and alternating inside one
 process cancels most of that drift. For each workload it prints p50, p90
 and total request time for each tree with their ratio (change over parent),
-and whether both trees wrote byte-identical files for every request.
-Exits 1 when any request's outputs differ or a request raises.
+the share of requests the change ran faster (a tie counts for neither tree),
+the same p50 ratio and share for each request kind (puck, ramp, stack,
+sweep, finger), and whether both trees wrote byte-identical files for every
+request. Exits 1 when any request's outputs differ or a request raises.
 """
 
 from __future__ import annotations
@@ -99,6 +101,16 @@ def pair(packages: dict, requests: list, rounds: int, scratch: Path, turn: int):
     return seconds, differ, turn
 
 
+def _faster(seconds: dict) -> str:
+    """The p50 ratio (change over parent) of paired request times, and on how
+    many requests each tree ran faster; a tie counts for neither."""
+    parent, change = (np.array(seconds[side]) for side in SIDES)
+    won, lost = int(np.sum(change < parent)), int(np.sum(change > parent))
+    ratio = np.percentile(change, 50) / np.percentile(parent, 50)
+    return (f"p50 ratio {ratio:.3f}, change faster on {won}/{len(parent)} "
+            f"({won / len(parent):.3f}), parent faster on {lost}")
+
+
 def main(argv=None) -> int:
     workloads = _workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -135,6 +147,12 @@ def main(argv=None) -> int:
                   + " ".join(f"{v:>9.3f}" for v in stats[side]))
         ratios = [c / p for p, c in zip(stats["parent"], stats["change"])]
         print(f"{workload:<15} {'':>8} {'ratio':<7} " + " ".join(f"{v:>9.3f}" for v in ratios))
+        kinds = [request.kind for request in requests] * rounds  # the order pair runs them
+        print(f"{workload:<15} {len(kinds):>8} {'all':<7} {_faster(seconds)}")
+        for kind in sorted(set(kinds)):
+            mine = {side: [s for s, k in zip(seconds[side], kinds) if k == kind]
+                    for side in SIDES}
+            print(f"{workload:<15} {len(mine['parent']):>8} {kind:<7} {_faster(mine)}")
         print(f"{workload:<15} outputs {'identical' if not differ else 'DIFFER'}")
         for name in differ[:20]:
             print(f"  differs: {name}", file=sys.stderr)

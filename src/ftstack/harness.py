@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import os
 import re
 from itertools import repeat
@@ -609,6 +610,16 @@ def _as_scenario(source, seed=None) -> Scenario:
     return scenario
 
 
+def _check_jobs(value) -> int:
+    """Worker processes asked for: at least 1, of any integer type
+    (``np.int64``, say), never a bool, as a seed override is checked."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        jobs = operator.index(value)
+        if jobs >= 1:
+            return jobs
+    raise ValueError(f"jobs: expected an integer of at least 1, got {value!r}")
+
+
 def run_scenario(source, out_dir=None, seed=None, jobs: int = 1) -> dict:
     """Run every trial of a scenario and assemble the report.
 
@@ -616,6 +627,7 @@ def run_scenario(source, out_dir=None, seed=None, jobs: int = 1) -> dict:
     under out_dir when given. The report's ``passed`` field is true when no
     trial raised and every check of the scenario's expect block passed.
     """
+    jobs = _check_jobs(jobs)
     scenario = _as_scenario(source, seed)
     rows = _run_trials(scenario, jobs)
     family = _FAMILIES[scenario.family]

@@ -28,7 +28,7 @@ from .estimation import (
     estimate_contact,
 )
 from .sensor import ForceTorqueSensor, ReadingWindow
-from .spatial import FrameId, RigidTransform, transform_wrenches
+from .spatial import FrameId, RigidTransform, cross_floats, transform_wrenches
 from .world import ContactResult, HeldObject, NoContactWithinRange, World
 
 
@@ -169,10 +169,24 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 def _settled_at_com(world: World, sensor: ForceTorqueSensor, window: ReadingWindow,
                     tip_pose, contact: ContactResult | None) -> tuple[np.ndarray, np.ndarray]:
     """Settled, averaged sensor reading at a held pose, taken to the
-    assumed-COM frame: its (3,) torque and force."""
+    assumed-COM frame by ``_shift_to_com``: its (3,) torque and force."""
     tau, f = sensor.settle_and_average(*world.true_wrist_wrench(tip_pose, contact), window)
-    tau, f = transform_wrenches(com_frame_transform(world.params.wrist_lift), tau[None], f[None])
-    return tau[0], f[0]
+    return _shift_to_com(com_frame_transform(world.params.wrist_lift), tau, f)
+
+
+def _shift_to_com(g_wr: RigidTransform, torque: np.ndarray,
+                  force: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One reading's ``transform_wrenches(g_wr, ...)`` row, on Python floats.
+
+    ``com_frame_transform`` rotates by exactly the identity, so the stacked
+    product with its transpose adds only exact zero products to each
+    component and returns it plus 0.0 (a -0.0 comes out 0.0): the torque
+    is ``(tau - t x f) + 0.0`` by components, the force ``f + 0.0``.
+    """
+    tau, f = torque.tolist(), force.tolist()
+    moment = cross_floats(g_wr.translation.tolist(), f)
+    shifted = np.array([(a - b) + 0.0 for a, b in zip(tau, moment)] + [a + 0.0 for a in f])
+    return shifted[:3], shifted[3:]
 
 
 def calibrate_for_held(world: World, sensor: ForceTorqueSensor, config: PolicyConfig,

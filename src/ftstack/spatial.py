@@ -80,6 +80,13 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def cross_floats(a, b) -> tuple:
+    """a x b for two 3-sequences of Python floats, with the products and
+    differences ``cross`` takes, so the same bits."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
 def _frozen_copy(arr: np.ndarray) -> np.ndarray:
     out = arr.copy()
     out.setflags(write=False)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spatial import cross
+from .spatial import cross, cross_floats
 from .surfaces import HeightField, LayeredSurface
 
 
@@ -387,16 +387,37 @@ class World:
     def true_wrist_wrench(self, tip_pose, contact: ContactResult | None,
                           ) -> tuple[np.ndarray, np.ndarray]:
         """Load-on-wrist wrench about the sensor origin, wrist frame, as its
-        (3,) torque and force: the one row ``wrist_wrench_rows`` gives the pose.
+        (3,) torque and force, for one held pose.
 
         Equals the gravity wrench of the distal load plus the contact wrench;
         the gripper's supporting wrench is their negation and is what the arm
-        provides through the sensor.
+        provides through the sensor. Computed on Python floats with the
+        operations ``wrist_wrench_rows`` takes, in its order (the lift's
+        ``+ 0.0`` on x and y and the sums into zeros included), so it gives
+        the bits of that method's one row for the pose, signed zeros too.
         """
-        tips = np.asarray(tip_pose, dtype=float)[None, :]
-        forces = np.array([0.0 if contact is None else contact.normal_force_magnitude])
-        tau, f = self.wrist_wrench_rows(tips, forces, contact)
-        return tau[0], f[0]
+        obj = self._require_held()
+        g = self.params.gravity
+        tx, ty, tz = np.asarray(tip_pose, dtype=float).tolist()
+        cx, cy, cz = obj.com_offset.tolist()
+        wx, wy, wz = tx + 0.0, ty + 0.0, tz + self.params.wrist_lift
+
+        fz = -obj.mass * g
+        t0, t1, t2 = cross_floats(((tx + cx) - wx, (ty + cy) - wy, (tz + cz) - wz), (0.0, 0.0, fz))
+        tau, f = [0.0 + t0, 0.0 + t1, 0.0 + t2], [0.0, 0.0, 0.0 + fz]
+        if self.params.gripper_mass > 0.0:
+            fz = -self.params.gripper_mass * g
+            t0, t1, t2 = cross_floats((tx - wx, ty - wy, tz - wz), (0.0, 0.0, fz))
+            tau, f[2] = [tau[0] + t0, tau[1] + t1, tau[2] + t2], f[2] + fz
+        if contact is not None and contact.normal_force_magnitude > 0.0:
+            m = contact.normal_force_magnitude
+            fc = [m * n for n in contact.surface_normal.tolist()]
+            px, py, pz = contact.contact_point.tolist()
+            t0, t1, t2 = cross_floats((px - wx, py - wy, pz - wz), fc)
+            tau = [tau[0] + t0, tau[1] + t1, tau[2] + t2]
+            f = [f[0] + fc[0], f[1] + fc[1], f[2] + fc[2]]
+        wrench = np.array(tau + f)
+        return wrench[:3], wrench[3:]
 
     def wrist_wrench_rows(self, tips, forces, contact: ContactResult | None):
         """Torque and force rows of the true wrist wrench at (N, 3) tip poses.

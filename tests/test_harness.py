@@ -394,6 +394,22 @@ class TestPool:
         assert [r["trial"] for r in rows] == list(range(trials))
         assert all("error" not in r for r in rows)
 
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5, "2", True])
+    def test_jobs_is_checked_before_any_pool(self, pools, monkeypatch, jobs):
+        # eight CPUs, so a float or a string would reach the pool's size
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        for run in (run_scenario, finger_press_check):
+            source = tiny_placement() if run is run_scenario else tiny_press()
+            with pytest.raises(ValueError, match=r"^jobs: "):
+                run(source, jobs=jobs)
+        assert pools == []
+
+    def test_jobs_takes_integer_types(self, pools, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        report = run_scenario(tiny_placement(), jobs=np.int64(2))
+        assert pools == [2]
+        assert report["passed"]
+
 
 class TestReadings:
     def test_runs_build_no_wrench(self, monkeypatch, tmp_path):
@@ -528,6 +544,13 @@ class TestCli:
         path = self.scenario_file(tmp_path, tiny_placement(trials=1))
         assert main(["run", str(path), "--seed", "-3"]) == 2
         assert capsys.readouterr().err == "error: scenario.seed: must be >= 0, got -3\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_two(self, tmp_path, capsys, jobs):
+        path = self.scenario_file(tmp_path, tiny_placement(trials=1))
+        assert main(["run", str(path), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == (
+            f"error: jobs: expected an integer of at least 1, got {jobs}\n")
 
     def test_unusable_inputs_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.yaml")]) == 2

@@ -9,6 +9,7 @@ from ftstack.policy import (
     PlacementOutcome,
     PolicyConfig,
     StackPlan,
+    _shift_to_com,
     calibrate_for_held,
     clamp_to_workspace,
     com_frame_transform,
@@ -18,7 +19,7 @@ from ftstack.policy import (
     run_stack,
 )
 from ftstack.sensor import ForceTorqueSensor, ReadingWindow, SensorConfig
-from ftstack.spatial import FrameId, Wrench, transform_wrench
+from ftstack.spatial import FrameId, Wrench, transform_wrench, transform_wrenches
 from ftstack.surfaces import FlatPlane, Puck, RampPatch, SphericalCap
 from ftstack.world import Footprint, HeldObject, NoContactWithinRange, World
 
@@ -298,6 +299,26 @@ class TestDescentRows:
                 assert tau_norm == float(np.linalg.norm(sampled.torque - state.hover_torque))
 
 
+class TestComShift:
+    @pytest.mark.parametrize("lift", [0.15, 0.0, -0.0, 0.37])
+    def test_one_reading_has_the_row_bits(self, lift):
+        # the float shift is exact only because this rotation is the identity
+        g_wr = com_frame_transform(lift)
+        assert g_wr.rotation.tobytes() == np.eye(3).tobytes()
+        rng = np.random.default_rng(23)
+
+        def vec():
+            return np.array([rng.choice([0.0, -0.0, rng.normal(0.0, 5.0)]) for _ in range(3)])
+
+        for _ in range(1500):
+            torque, force = vec(), vec()
+            tau, f = _shift_to_com(g_wr, torque, force)
+            rows = transform_wrenches(g_wr, torque[None], force[None])
+            assert tau.shape == f.shape == (3,)
+            assert tau.tobytes() == rows[0][0].tobytes()
+            assert f.tobytes() == rows[1][0].tobytes()
+
+
 class TestReleaseSoundness:
     def test_release_implies_stability_across_random_worlds(self):
         # noiseless randomized sweep; torque threshold over press force must
@@ -406,33 +427,38 @@ def implied_presses(trace, config) -> int:
 
 
 class TestTickContract:
-    """One ``sample`` call per sensor tick and one ``descend_until_contact``
-    call per press, so that the calls counted on those two methods match the
-    work the outputs imply: descent rows plus readings times window samples."""
+    """One ``sample`` call per sensor tick, one ``descend_until_contact``
+    call per press and one ``true_wrist_wrench`` call per settled reading, so
+    that the calls counted on those three methods match the work the outputs
+    imply: descent rows plus readings times window samples."""
 
     WINDOW_SAMPLES = 2 + 12  # the default window at 25 Hz: 0.1 s settle, 0.5 s average
 
     @pytest.fixture
-    def descents(self, monkeypatch):
-        calls = []
-        real = World.descend_until_contact
+    def calls(self, monkeypatch):
+        """The arguments of each counted ``World`` method's calls, by name."""
+        calls = {"descend_until_contact": [], "true_wrist_wrench": []}
+        for name, seen in calls.items():
+            real = getattr(World, name)
 
-        def counted(self, *args, **kwargs):
-            calls.append(args)
-            return real(self, *args, **kwargs)
+            def counted(self, *args, real=real, seen=seen, **kwargs):
+                seen.append(args)
+                return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(World, "descend_until_contact", counted)
+            monkeypatch.setattr(World, name, counted)
         return calls
 
-    def assert_counts(self, sensor, descents, traces, config, hovers, presses=0):
+    def assert_counts(self, sensor, calls, traces, config, hovers, presses=0):
         """``hovers`` calibrations (a hover and a flat press each), the
         placement ``traces`` and ``presses`` other presses."""
         presses += hovers + sum(implied_presses(t, config) for t in traces)
+        readings = hovers + presses
         rows = sum(len(series) for t in traces for series in t.descent_series)
-        assert len(descents) == presses
-        assert sensor.calls == rows + (hovers + presses) * self.WINDOW_SAMPLES
+        assert len(calls["descend_until_contact"]) == presses
+        assert len(calls["true_wrist_wrench"]) == readings
+        assert sensor.calls == rows + readings * self.WINDOW_SAMPLES
 
-    def test_puck_placement(self, descents):
+    def test_puck_placement(self, calls):
         world = World([FlatPlane(0.0), Puck((0.0, 0.0), 0.05, 0.04)])
         world.hold(make_disk(com_offset=np.array([0.006, -0.004, 0.0])))
         config = PolicyConfig()
@@ -442,9 +468,9 @@ class TestTickContract:
                               (0.025, -0.01), 0.1)
         assert trace.outcome is PlacementOutcome.RELEASED_STABLE
         assert len(trace.iterations) > 1
-        self.assert_counts(sensor, descents, [trace], config, hovers=1)
+        self.assert_counts(sensor, calls, [trace], config, hovers=1)
 
-    def test_stack(self, descents):
+    def test_stack(self, calls):
         world = World(FlatPlane(0.0))
         objects = [make_square(half=0.05, thickness=0.006), make_disk(thickness=0.006)]
         plan = StackPlan(target_xy=(0.0, 0.0),
@@ -455,9 +481,9 @@ class TestTickContract:
                                 np.random.default_rng(4))
         result = run_stack(world, sensor, objects, plan, config)
         assert result.success
-        self.assert_counts(sensor, descents, result.traces, config, hovers=2)
+        self.assert_counts(sensor, calls, result.traces, config, hovers=2)
 
-    def test_sweep_press(self, descents):
+    def test_sweep_press(self, calls):
         # a noise sweep trial: one calibration, then one press whose descent
         # rows are not read
         world = World([FlatPlane(0.0), Puck((0.0, 0.0), 0.05, 0.04)])
@@ -468,4 +494,4 @@ class TestTickContract:
         press = press_and_estimate(world, sensor, state, config, ReadingWindow(),
                                    (0.02, 0.01), 0.1)
         assert not press.degenerate
-        self.assert_counts(sensor, descents, [], config, hovers=1, presses=1)
+        self.assert_counts(sensor, calls, [], config, hovers=1, presses=1)

@@ -241,6 +241,36 @@ class TestBatchedDescent:
             tau, f = reference_wrist_wrench(world, tip, *args)
             assert np.array_equal(torque, tau)
             assert np.array_equal(force, f)
+            assert_row_bits(world, tip, c, torque, force)
+
+    def test_true_wrist_wrench_has_the_row_bits_with_signed_zeros(self):
+        # the shift and residual columns are written with repr, so a zero's
+        # sign reaches the files: compare bytes, not values
+        rng = np.random.default_rng(17)
+
+        def vec():
+            return np.array([rng.choice([0.0, -0.0, rng.normal(0.0, 0.05)]) for _ in range(3)])
+
+        for i in range(600):
+            world = World(FlatPlane(0.0), params=SimParams(gripper_mass=(0.0, 0.2)[i % 2]))
+            world.hold(make_disk(mass=rng.uniform(0.2, 2.0), com_offset=vec()))
+            contact = None
+            if i % 3:  # absent, at zero force, pressing
+                contact = ContactResult(
+                    contact_point=vec(), surface_normal=vec(), penetration=0.0,
+                    normal_force_magnitude=0.0 if i % 3 == 1 else rng.uniform(0.1, 30.0),
+                    contact_patch=np.zeros((1, 3)), touch_height=0.0)
+            tip = vec()
+            assert_row_bits(world, tip, contact, *world.true_wrist_wrench(tip, contact))
+
+
+def assert_row_bits(world, tip, contact, torque, force):
+    """The torque and force carry the bits of the pose's one-row ``wrist_wrench_rows``."""
+    forces = np.array([0.0 if contact is None else contact.normal_force_magnitude])
+    rows = world.wrist_wrench_rows(np.asarray(tip, dtype=float)[None], forces, contact)
+    assert torque.shape == force.shape == (3,)
+    assert torque.tobytes() == rows[0][0].tobytes()
+    assert force.tobytes() == rows[1][0].tobytes()
 
 
 def reference_contact_geometry(world, touch, pts, tower):
