@@ -30,7 +30,6 @@ from .policy import (
     StackResult,
     calibrate_for_held,
     clamp_to_workspace,
-    com_frame_transform,
     press_and_estimate,
     propose_shift,
     run_placement,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spatial import Z_HAT, _as_vec3, tangent_projection
+from .spatial import Z_HAT, _as_vec3, cross_floats, tangent_projection
 
 DEFAULT_FORCE_FLOOR = 1.0  # N; presses weaker than this are noise-dominated
 
@@ -79,9 +79,7 @@ def recover_contact_offset(f_n, torque, force_floor: float = DEFAULT_FORCE_FLOOR
         raise DegenerateNormalForce(
             f"|F_N| = {np.sqrt(norm_sq):.3g} N is at or below the floor {force_floor:g} N"
         )
-    (f0, f1, f2), (t0, t1, t2) = f.tolist(), tau.tolist()
-    # by components: the bits np.cross gives, at a fraction of its per-call cost
-    return np.array([f1 * t2 - f2 * t1, f2 * t0 - f0 * t2, f0 * t1 - f1 * t0]) / norm_sq
+    return np.array(cross_floats(f.tolist(), tau.tolist())) / norm_sq
 
 
 def flat_direction(n_hat) -> np.ndarray:

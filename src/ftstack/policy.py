@@ -15,7 +15,6 @@ makes the true center of mass, not the gripper tip, end up over the contact.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,7 +27,7 @@ from .estimation import (
     estimate_contact,
 )
 from .sensor import ForceTorqueSensor, ReadingWindow
-from .spatial import FrameId, RigidTransform, cross_floats, transform_wrenches
+from .spatial import _row_dots
 from .world import ContactResult, HeldObject, NoContactWithinRange, World
 
 
@@ -52,16 +51,24 @@ class PolicyConfig:
     repress_scale: float = 1.5              # threshold factor for the retry press
 
     def __post_init__(self):
-        if self.resistance_threshold <= 0.0 or self.torque_release_threshold <= 0.0:
-            raise ValueError("thresholds must be positive")
-        if self.step_gain < 0.0 or self.flat_dir_floor < 0.0:
-            raise ValueError("step_gain and flat_dir_floor must be non-negative")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.raise_height < 0.0 or self.workspace_limit <= 0.0:
-            raise ValueError("raise_height and workspace_limit must be sensible")
-        if self.repress_scale <= 1.0:
-            raise ValueError("repress_scale must exceed 1")
+        # each range is a chained comparison, which a NaN or an infinity fails
+        inf = np.inf
+        if not (0.0 < self.resistance_threshold < inf and 0.0 < self.torque_release_threshold < inf
+                and 0.0 < self.force_floor < inf):
+            raise ValueError("resistance_threshold, torque_release_threshold and force_floor must "
+                             f"be positive and finite, got {self.resistance_threshold}, "
+                             f"{self.torque_release_threshold} and {self.force_floor}")
+        if not (0.0 <= self.step_gain < inf and 0.0 <= self.flat_dir_floor < inf
+                and 0.0 <= self.raise_height < inf):
+            raise ValueError("step_gain, flat_dir_floor and raise_height must be non-negative and "
+                             f"finite, got {self.step_gain}, {self.flat_dir_floor} and "
+                             f"{self.raise_height}")
+        if not (0.0 < self.workspace_limit < inf and 1.0 < self.repress_scale < inf):
+            raise ValueError("workspace_limit must be finite and positive, repress_scale finite "
+                             f"and above 1, got {self.workspace_limit} and {self.repress_scale}")
+        m = self.max_iterations
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+            raise ValueError(f"max_iterations must be an integer of at least 1, got {m!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,14 +125,6 @@ class Calibration:
     torque_reference: np.ndarray  # flat-press torque minus hover torque
 
 
-@functools.lru_cache(maxsize=8)
-def com_frame_transform(wrist_lift: float) -> RigidTransform:
-    """Sensor origin to assumed-COM frame; the assumed COM is the gripper tip."""
-    return RigidTransform.from_translation(
-        (0.0, 0.0, -wrist_lift), parent=FrameId.WRIST, child=FrameId.ROCK_COM
-    )
-
-
 def clamp_to_workspace(xy, limit: float) -> np.ndarray:
     return np.clip(np.asarray(xy, dtype=float), -limit, limit)
 
@@ -143,16 +142,36 @@ def propose_shift(estimate: ContactEstimate, config: PolicyConfig) -> np.ndarray
     return full[:2].copy()
 
 
-def _descent_rows(g_wr: RigidTransform, calibration: Calibration, sensor: ForceTorqueSensor,
+def _to_com(lift: float, torque: np.ndarray,
+            force: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sensor-origin readings, (3,) or (N, 3) torque and force, about the
+    assumed COM, the grasp point ``lift`` below the sensor origin.
+
+    The lever arm t = (0, 0, -lift) gives the torque tau + (-lift f_y,
+    lift f_x, 0); the force is unchanged. These are the values and bits
+    ``transform_wrench`` gives for that translation: its t x f components
+    are exact products plus signed zeros, and the identity rotation adds
+    only exact zero products, so the trailing + 0.0, which turns a -0.0
+    into 0.0, leaves the same bits.
+    """
+    arm = np.empty(force.shape)
+    arm[..., 0] = -lift * force[..., 1]
+    arm[..., 1] = lift * force[..., 0]
+    arm[..., 2] = 0.0
+    return (torque + arm) + 0.0, force + 0.0
+
+
+def _descent_rows(lift: float, calibration: Calibration, sensor: ForceTorqueSensor,
                   torque_rows: np.ndarray, force_rows: np.ndarray) -> np.ndarray:
     """Trace rows (t, |f|, |tau|) of a descent's true wrist-wrench rows.
 
     The sensor reads each row in one tick, and t is its clock after that
-    tick. The readings are taken to the assumed-COM frame and the hover
-    baseline is subtracted before the norms are taken.
+    tick. ``_to_com`` takes the (N, 3) readings to the assumed COM, ``lift``
+    below the sensor, and the hover baseline is subtracted before the norms
+    are taken.
     """
     ticks = sensor.ticks + 1 + np.arange(len(torque_rows))
-    torque, force = transform_wrenches(g_wr, *sensor.read_rows(torque_rows, force_rows))
+    torque, force = _to_com(lift, *sensor.read_rows(torque_rows, force_rows))
     return np.column_stack([
         ticks / sensor.config.sample_rate,
         _row_norms(force - calibration.hover_force),
@@ -161,32 +180,15 @@ def _descent_rows(g_wr: RigidTransform, calibration: Calibration, sensor: ForceT
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # a stacked dot product per row: the bits np.linalg.norm gives one vector,
-    # which np.linalg.norm(axis=1) and einsum miss in the last place
-    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    return np.sqrt(_row_dots(rows, rows))
 
 
 def _settled_at_com(world: World, sensor: ForceTorqueSensor, window: ReadingWindow,
                     tip_pose, contact: ContactResult | None) -> tuple[np.ndarray, np.ndarray]:
     """Settled, averaged sensor reading at a held pose, taken to the
-    assumed-COM frame by ``_shift_to_com``: its (3,) torque and force."""
+    assumed COM by ``_to_com``: its (3,) torque and force."""
     tau, f = sensor.settle_and_average(*world.true_wrist_wrench(tip_pose, contact), window)
-    return _shift_to_com(com_frame_transform(world.params.wrist_lift), tau, f)
-
-
-def _shift_to_com(g_wr: RigidTransform, torque: np.ndarray,
-                  force: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One reading's ``transform_wrenches(g_wr, ...)`` row, on Python floats.
-
-    ``com_frame_transform`` rotates by exactly the identity, so the stacked
-    product with its transpose adds only exact zero products to each
-    component and returns it plus 0.0 (a -0.0 comes out 0.0): the torque
-    is ``(tau - t x f) + 0.0`` by components, the force ``f + 0.0``.
-    """
-    tau, f = torque.tolist(), force.tolist()
-    moment = cross_floats(g_wr.translation.tolist(), f)
-    shifted = np.array([(a - b) + 0.0 for a, b in zip(tau, moment)] + [a + 0.0 for a in f])
-    return shifted[:3], shifted[3:]
+    return _to_com(world.params.wrist_lift, tau, f)
 
 
 def calibrate_for_held(world: World, sensor: ForceTorqueSensor, config: PolicyConfig,
@@ -262,11 +264,12 @@ def run_placement(world: World, sensor: ForceTorqueSensor,
 
     Between presses the tip rises by raise_height above the last stop, never
     below the initial approach height, so uphill shifts cannot start inside
-    the terrain as long as the first approach clears it.
+    the terrain as long as the first approach clears it. Each descent's rows
+    reach the trace through ``_descent_rows`` at the world's ``wrist_lift``.
     """
     if window is None:
         window = ReadingWindow()
-    g_wr = com_frame_transform(world.params.wrist_lift)
+    lift = world.params.wrist_lift
 
     xy = clamp_to_workspace(start_xy, config.workspace_limit)
     ceiling = float(start_tip_z)
@@ -281,14 +284,14 @@ def run_placement(world: World, sensor: ForceTorqueSensor,
             )
         except NoContactWithinRange as exc:
             rows = world.wrist_wrench_rows(exc.tips, exc.forces, None)
-            series.append(_descent_rows(g_wr, calibration, sensor, *rows))
+            series.append(_descent_rows(lift, calibration, sensor, *rows))
             return PlacementTrace(
                 outcome=PlacementOutcome.NO_CONTACT,
                 iterations=tuple(records),
                 descent_series=tuple(series),
             )
         rows = world.wrist_wrench_rows(tips, forces, contact)
-        series.append(_descent_rows(g_wr, calibration, sensor, *rows))
+        series.append(_descent_rows(lift, calibration, sensor, *rows))
         press = _settle_and_estimate(world, sensor, calibration, config, window,
                                      xy, contact, tip_z)
 

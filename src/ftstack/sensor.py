@@ -32,10 +32,12 @@ class SensorConfig:
     drift_force: tuple = (0.0, 0.0, 0.0)   # N per second
 
     def __post_init__(self):
-        if self.sample_rate <= 0.0:
-            raise ValueError("sample_rate must be positive")
-        if self.noise_torque < 0.0 or self.noise_force < 0.0:
-            raise ValueError("noise stds must be non-negative")
+        # each range is a chained comparison, which a NaN or an infinity fails
+        if not 0.0 < self.sample_rate < np.inf:
+            raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
+        if not (0.0 <= self.noise_torque < np.inf and 0.0 <= self.noise_force < np.inf):
+            raise ValueError("noise_torque and noise_force must be non-negative and finite, "
+                             f"got {self.noise_torque} and {self.noise_force}")
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,9 @@ class ReadingWindow:
     average_time: float = 0.5   # s averaged into one reading
 
     def __post_init__(self):
-        if self.settle_time < 0.0 or self.average_time < 0.0:
-            raise ValueError("window times must be non-negative")
+        if not (0.0 <= self.settle_time < np.inf and 0.0 <= self.average_time < np.inf):
+            raise ValueError("settle_time and average_time must be non-negative and finite, "
+                             f"got {self.settle_time} and {self.average_time}")
 
 
 class ForceTorqueSensor:

@@ -87,6 +87,13 @@ def cross_floats(a, b) -> tuple:
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # a stacked dot product per row of (N, 3) rows: the bits a one-vector ``@``
+    # and np.linalg.norm give, which np.linalg.norm(axis=1) and einsum miss
+    # in the last place
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 def _frozen_copy(arr: np.ndarray) -> np.ndarray:
     out = arr.copy()
     out.setflags(write=False)
@@ -198,19 +205,6 @@ def transform_wrench(g_ab: RigidTransform, wrench_a: Wrench) -> Wrench:
     rot_t = g_ab.rotation.T
     tau = rot_t @ (wrench_a.torque - cross(g_ab.translation, wrench_a.force))
     return Wrench(tau, rot_t @ wrench_a.force, frame=g_ab.child)
-
-
-def transform_wrenches(g_ab: RigidTransform, torque: np.ndarray,
-                       force: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``transform_wrench`` over (N, 3) parent-frame torque and force rows.
-
-    Returns the child-frame torques and forces as (N, 3) rows, bit for bit
-    the components ``transform_wrench`` gives one wrench at a time.
-    """
-    rot_t = g_ab.rotation.T
-    # one stacked matrix-vector product per row, the product transform_wrench takes
-    tau = (rot_t @ (torque - cross(g_ab.translation, force))[:, :, None])[:, :, 0]
-    return tau, (rot_t @ force[:, :, None])[:, :, 0]
 
 
 def transform_twist(g_ab: RigidTransform, angular, linear) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spatial import cross, cross_floats
+from .spatial import _row_dots, cross, cross_floats
 from .surfaces import HeightField, LayeredSurface
 
 
@@ -582,8 +582,3 @@ def _distance_to_point_set(p: np.ndarray, pts: np.ndarray) -> float:
     t[zero] = 0.0
     rel = p - (a + t[:, None] * ab)
     return float(np.min(np.sqrt(_row_dots(rel, rel))))
-
-
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
-

@@ -21,7 +21,7 @@ from ftstack.harness import (
     wilson_interval,
 )
 from ftstack.scenario import Scenario, ScenarioError, save_scenario
-from ftstack.spatial import Wrench
+from ftstack.spatial import RigidTransform, Wrench
 from ftstack.world import World
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -412,21 +412,24 @@ class TestPool:
 
 
 class TestReadings:
-    def test_runs_build_no_wrench(self, monkeypatch, tmp_path):
-        # readings travel as (3,) torque and force arrays from sensor to estimator
+    @pytest.mark.parametrize("cls, first", [(Wrench, np.zeros(3)), (RigidTransform, np.eye(3))],
+                             ids=["Wrench", "RigidTransform"])
+    def test_runs_build_no_frame_object(self, cls, first, monkeypatch, tmp_path):
+        # readings travel as (3,) torque and force arrays from sensor to
+        # estimator, and reach the assumed COM through the lever arm alone
         builds = []
-        post_init = Wrench.__post_init__
+        post_init = cls.__post_init__
 
         def counted(self):
             builds.append(self)
             post_init(self)
 
-        monkeypatch.setattr(Wrench, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__post_init__", counted)
         for name in ("zero_offset_noiseless", "multi_stack_6", "noise_sweep", "finger_press"):
             report = run_scenario(SCENARIO_DIR / f"{name}.yaml", out_dir=tmp_path / name)
             assert report["passed"], name
         assert builds == []
-        Wrench(np.zeros(3), np.zeros(3))  # a build the count does see
+        cls(first, np.zeros(3))  # a build the count does see
         assert len(builds) == 1
 
     def test_report_rows_leave_the_trace_out(self):

@@ -9,17 +9,16 @@ from ftstack.policy import (
     PlacementOutcome,
     PolicyConfig,
     StackPlan,
-    _shift_to_com,
+    _to_com,
     calibrate_for_held,
     clamp_to_workspace,
-    com_frame_transform,
     press_and_estimate,
     propose_shift,
     run_placement,
     run_stack,
 )
 from ftstack.sensor import ForceTorqueSensor, ReadingWindow, SensorConfig
-from ftstack.spatial import FrameId, Wrench, transform_wrench, transform_wrenches
+from ftstack.spatial import FrameId, RigidTransform, Wrench, transform_wrench
 from ftstack.surfaces import FlatPlane, Puck, RampPatch, SphericalCap
 from ftstack.world import Footprint, HeldObject, NoContactWithinRange, World
 
@@ -40,6 +39,13 @@ def make_disk(radius=0.05, thickness=0.02, mass=1.0, **kw):
 def make_square(half=0.05, thickness=0.02, mass=1.0, **kw):
     return HeldObject(mass=mass, footprint=Footprint("square", half),
                       thickness=thickness, **kw)
+
+
+def com_frame(lift):
+    """The reference for ``_to_com``: the sensor origin to the assumed COM,
+    the grasp point ``lift`` below it, as a rigid transform."""
+    return RigidTransform.from_translation((0.0, 0.0, -lift),
+                                           parent=FrameId.WRIST, child=FrameId.ROCK_COM)
 
 
 def calibrated(world, sensor, config, window=None):
@@ -94,7 +100,7 @@ class TestCalibration:
         assert isinstance(state, Calibration)
         np.testing.assert_allclose(state.hover_force, [0, 0, -9.81], atol=1e-9)
         # the hover window's last tick (2 + 12 samples) taken to the assumed COM
-        hover = transform_wrench(com_frame_transform(world.params.wrist_lift),
+        hover = transform_wrench(com_frame(world.params.wrist_lift),
                                  sensor.by_time[(2 + 12) / 25.0])
         np.testing.assert_allclose(state.hover_torque, hover.torque, atol=1e-9)
         np.testing.assert_allclose(state.hover_force, hover.force, atol=1e-9)
@@ -290,7 +296,7 @@ class TestDescentRows:
                                  np.random.default_rng(21))
         trace = run_placement(world, sensor, state, config, start_xy, 0.1)
 
-        g_wr = com_frame_transform(world.params.wrist_lift)
+        g_wr = com_frame(world.params.wrist_lift)
         assert sum(len(series) for series in trace.descent_series) > 0
         for series in trace.descent_series:
             for t, f_norm, tau_norm in series:
@@ -299,24 +305,50 @@ class TestDescentRows:
                 assert tau_norm == float(np.linalg.norm(sampled.torque - state.hover_torque))
 
 
+def signed_rows(rng, n, scale):
+    """(n, 3) rows with a fifth of their components +0.0 and a fifth -0.0."""
+    rows = rng.normal(0.0, scale, (n, 3))
+    pick = rng.random((n, 3))
+    rows[pick < 0.2] = 0.0
+    rows[pick > 0.8] = -0.0
+    return rows
+
+
 class TestComShift:
+    @pytest.mark.parametrize("n", [0, 1, 14, 335])
+    @pytest.mark.parametrize("lift", [0.15, 0.0, -0.0, 0.37])
+    def test_rows_have_the_transform_wrench_bits(self, lift, n):
+        rng = np.random.default_rng(23)
+        torque, force = signed_rows(rng, n, 2.0), signed_rows(rng, n, 20.0)
+        tau, f = _to_com(lift, torque, force)
+        assert tau.shape == f.shape == (n, 3)
+        g_wr = com_frame(lift)
+        for i in range(n):
+            ref = transform_wrench(g_wr, Wrench(torque[i], force[i], frame=FrameId.WRIST))
+            assert tau[i].tobytes() == ref.torque.tobytes()
+            assert f[i].tobytes() == ref.force.tobytes()
+
     @pytest.mark.parametrize("lift", [0.15, 0.0, -0.0, 0.37])
     def test_one_reading_has_the_row_bits(self, lift):
-        # the float shift is exact only because this rotation is the identity
-        g_wr = com_frame_transform(lift)
-        assert g_wr.rotation.tobytes() == np.eye(3).tobytes()
-        rng = np.random.default_rng(23)
-
-        def vec():
-            return np.array([rng.choice([0.0, -0.0, rng.normal(0.0, 5.0)]) for _ in range(3)])
-
-        for _ in range(1500):
-            torque, force = vec(), vec()
-            tau, f = _shift_to_com(g_wr, torque, force)
-            rows = transform_wrenches(g_wr, torque[None], force[None])
+        rng = np.random.default_rng(29)
+        torque, force = signed_rows(rng, 200, 2.0), signed_rows(rng, 200, 20.0)
+        rows = _to_com(lift, torque, force)
+        g_wr = com_frame(lift)
+        for i in range(200):
+            tau, f = _to_com(lift, torque[i], force[i])
+            ref = transform_wrench(g_wr, Wrench(torque[i], force[i], frame=FrameId.WRIST))
             assert tau.shape == f.shape == (3,)
-            assert tau.tobytes() == rows[0][0].tobytes()
-            assert f.tobytes() == rows[1][0].tobytes()
+            assert tau.tobytes() == rows[0][i].tobytes() == ref.torque.tobytes()
+            assert f.tobytes() == rows[1][i].tobytes() == ref.force.tobytes()
+
+    def test_a_force_at_the_tip_gives_no_com_torque(self):
+        # a force applied at the grasp point, 0.15 m below the sensor, reads
+        # as its moment about the sensor origin and as none about the COM
+        force = np.array([3.0, -4.0, -9.81])
+        torque = np.cross([0.0, 0.0, -0.15], force)
+        tau, f = _to_com(0.15, torque, force)
+        assert tau.tolist() == [0.0, 0.0, 0.0]
+        assert f.tolist() == force.tolist()
 
 
 class TestReleaseSoundness:
@@ -395,15 +427,13 @@ class TestConfigValidation:
             PolicyConfig(max_iterations=0)
         with pytest.raises(ValueError):
             PolicyConfig(repress_scale=1.0)
-
-    def test_com_frame_transform_lands_on_the_tip(self):
-        g = com_frame_transform(0.15)
-        np.testing.assert_allclose(g.point_to_parent([0.0, 0.0, 0.0]), [0, 0, -0.15])
-        assert g.parent is FrameId.WRIST
-        assert g.child is FrameId.ROCK_COM
-        # built once per lift; its arrays are read-only, so presses can share it
-        assert com_frame_transform(0.15) is g
-        assert not g.translation.flags.writeable
+        # a NaN or an infinity is refused too, by an error that names the field
+        for name, value in [("torque_release_threshold", float("nan")),
+                            ("raise_height", float("nan")), ("repress_scale", float("inf")),
+                            ("max_iterations", 2.5), ("max_iterations", True),
+                            ("force_floor", -1.0), ("force_floor", 0.0)]:
+            with pytest.raises(ValueError, match=name):
+                PolicyConfig(**{name: value})
 
 
 class CountingSensor(ForceTorqueSensor):

@@ -231,6 +231,20 @@ class TestWindows:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             ReadingWindow(settle_time=-0.1)
+        for name, value in [("settle_time", float("nan")), ("average_time", float("inf"))]:
+            with pytest.raises(ValueError, match=name):
+                ReadingWindow(**{name: value})
+
+    def test_config_validation(self):
+        with pytest.raises(ValueError):
+            SensorConfig(sample_rate=0.0)
+        with pytest.raises(ValueError):
+            SensorConfig(noise_torque=-0.01)
+        # a NaN or an infinity is refused too, by an error that names the field
+        for name, value in [("noise_force", float("nan")), ("sample_rate", float("nan")),
+                            ("sample_rate", float("inf")), ("noise_torque", float("inf"))]:
+            with pytest.raises(ValueError, match=name):
+                SensorConfig(**{name: value})
 
 
 class TestCalibration:

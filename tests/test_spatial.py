@@ -21,7 +21,6 @@ from ftstack.spatial import (
     tangent_projection,
     transform_twist,
     transform_wrench,
-    transform_wrenches,
     wrench_transform_matrix,
 )
 
@@ -184,21 +183,6 @@ def test_rotation_stays_orthonormal_under_composition(seed):
     g = compose(random_transform(rng), random_transform(rng))
     np.testing.assert_allclose(g.rotation @ g.rotation.T, np.eye(3), atol=1e-12)
     assert np.linalg.det(g.rotation) > 0.0
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 40))
-def test_batched_wrench_transform_matches_one_at_a_time(seed, count):
-    rng = np.random.default_rng(seed)
-    g = random_transform(rng)
-    torque = rng.normal(size=(count, 3))
-    force = 20.0 * rng.normal(size=(count, 3))
-    tau, f = transform_wrenches(g, torque, force)
-    assert tau.shape == f.shape == (count, 3)
-    for i in range(count):
-        one = transform_wrench(g, Wrench(torque[i], force[i]))
-        assert np.array_equal(tau[i], one.torque)
-        assert np.array_equal(f[i], one.force)
 
 
 @pytest.mark.parametrize("shape_a, shape_b", [((3,), (3,)), ((200, 3), (3,)),

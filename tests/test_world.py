@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 from ftstack.estimation import estimate_contact
-from ftstack.spatial import FrameId, Wrench, transform_wrench
+from ftstack.spatial import FrameId, RigidTransform, Wrench, transform_wrench
 from ftstack.surfaces import NO_SURFACE, FlatPlane, Puck, RampPatch, SphericalCap
 from ftstack.world import (
     BottomProfile,
@@ -22,7 +22,7 @@ from ftstack.world import (
     _convex_hull,
     _distance_to_point_set,
 )
-from ftstack.policy import PolicyConfig, StackPlan, com_frame_transform, run_stack
+from ftstack.policy import PolicyConfig, StackPlan, run_stack
 from ftstack.sensor import ForceTorqueSensor, SensorConfig
 
 
@@ -408,7 +408,8 @@ class TestWristWrench:
         # the contact solver must return the exact contact-minus-tip offset
         world = World([FlatPlane(0.0), Puck((0.02, 0.01), 0.01, 0.03)])
         world.hold(make_disk())
-        g_wr = com_frame_transform(world.params.wrist_lift)
+        g_wr = RigidTransform.from_translation((0.0, 0.0, -world.params.wrist_lift),
+                                               parent=FrameId.WRIST, child=FrameId.ROCK_COM)
 
         hover_tip = np.array([0.0, 0.0, 0.1])
         hover = transform_wrench(
