@@ -40,9 +40,7 @@ from .scenario import (
     Scenario,
     ScenarioError,
     build_object,
-    build_policy,
     build_sensor,
-    build_window,
     build_world,
     load_scenario,
     save_scenario,

@@ -39,9 +39,7 @@ from .scenario import (
     _PLACEMENT_FAMILIES,
     Scenario,
     build_object,
-    build_policy,
     build_sensor,
-    build_window,
     build_world,
     check_seed,
     evaluate_expect,
@@ -107,21 +105,18 @@ def _trace_row(trace) -> dict:
 
 def _calibrated(scenario: Scenario, rng_scn, rng_sen, section: dict, world=None):
     """A world holding a freshly drawn object, calibrated at the section's
-    calibration_xy and hover_tip_z; returns the world, object, sensor,
-    policy config, reading window and calibration. A new world unless one
-    is given."""
+    calibration_xy and hover_tip_z; returns the world, object, sensor and
+    calibration. A new world unless one is given."""
     if world is None:
         world = build_world(scenario)
     obj = build_object(scenario, rng_scn)
     world.hold(obj)
     sensor = build_sensor(scenario, rng_sen)
-    config = build_policy(scenario)
-    window = build_window(scenario)
     calibration = calibrate_for_held(
-        world, sensor, config, window,
+        world, sensor, scenario.policy, scenario.window,
         section["calibration_xy"], section["hover_tip_z"],
     )
-    return world, obj, sensor, config, window, calibration
+    return world, obj, sensor, calibration
 
 
 def _placement_trial(scenario: Scenario, trial: int) -> dict:
@@ -129,13 +124,12 @@ def _placement_trial(scenario: Scenario, trial: int) -> dict:
     row: dict = {"trial": trial}
     place = scenario.placement
     try:
-        world, obj, sensor, config, window, calibration = _calibrated(
-            scenario, rng_scn, rng_sen, place)
+        world, obj, sensor, calibration = _calibrated(scenario, rng_scn, rng_sen, place)
         # the scenario stream draws the object first, then the start xy
         start_xy = sample_start_xy(scenario, rng_scn)
         trace = run_placement(
-            world, sensor, calibration, config, start_xy,
-            start_tip_z=place["hover_tip_z"], window=window,
+            world, sensor, calibration, scenario.policy, start_xy,
+            start_tip_z=place["hover_tip_z"], window=scenario.window,
         )
     except Exception as exc:  # per-trial failures are recorded, never fatal
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -178,8 +172,6 @@ def _stack_trial(scenario: Scenario, trial: int) -> dict:
         limit = cfg["perturbation_limit"]
         perturbations = rng_scn.uniform(-limit, limit, (cfg["count"], 2))
         sensor = build_sensor(scenario, rng_sen)
-        config = build_policy(scenario)
-        window = build_window(scenario)
         plan = StackPlan(
             target_xy=tuple(cfg["target_xy"]),
             perturbations=perturbations,
@@ -187,7 +179,7 @@ def _stack_trial(scenario: Scenario, trial: int) -> dict:
             hover_tip_z=cfg["hover_tip_z"],
             approach_clearance=cfg["approach_clearance"],
         )
-        result = run_stack(world, sensor, objects, plan, config, window)
+        result = run_stack(world, sensor, objects, plan, scenario.policy, scenario.window)
     except Exception as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
@@ -224,10 +216,9 @@ def _sweep_trial(scenario: Scenario, trial: int, world=None) -> dict:
         "direction_deg": float(direction_deg),
     }
     try:
-        world, _, sensor, config, window, calibration = _calibrated(
-            scenario, rng_scn, rng_sen, sweep, world)
+        world, _, sensor, calibration = _calibrated(scenario, rng_scn, rng_sen, sweep, world)
         press = press_and_estimate(
-            world, sensor, calibration, config, window,
+            world, sensor, calibration, scenario.policy, scenario.window,
             press_xy, sweep["hover_tip_z"],
         )
     except Exception as exc:
@@ -238,7 +229,7 @@ def _sweep_trial(scenario: Scenario, trial: int, world=None) -> dict:
     if press.estimate is None:
         row.update({"shift": None, "angle_error_deg": None, "press_force": None})
         return row
-    shift = propose_shift(press.estimate, config)
+    shift = propose_shift(press.estimate, scenario.policy)
     to_center = np.asarray(sweep["center"]) - press_xy
     err = angle_error_deg(shift, to_center)
     row.update({
@@ -286,8 +277,7 @@ def _press_trial(scenario: Scenario, trial: int) -> dict:
     }
     try:
         sensor = build_sensor(scenario, rng_sen)
-        config = build_policy(scenario)
-        window = build_window(scenario)
+        window = scenario.window
         # true wrenches about the assumed COM: hanging, then pressed at the offset
         hanging = np.array([0.0, 0.0, -weight])
         finger = np.array([0.0, 0.0, -push])
@@ -295,7 +285,7 @@ def _press_trial(scenario: Scenario, trial: int) -> dict:
         torque, force = sensor.settle_and_average(cross(offset, finger), hanging + finger,
                                                   window)
         estimate = estimate_contact(torque - hover_torque, force, hover_force,
-                                    force_floor=config.force_floor)
+                                    force_floor=scenario.policy.force_floor)
     except DegenerateNormalForce:
         row.update({"degenerate": True, "angle_error_deg": None})
         return row

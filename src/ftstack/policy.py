@@ -28,7 +28,12 @@ from .estimation import (
 )
 from .sensor import ForceTorqueSensor, ReadingWindow
 from .spatial import _row_dots
+from .validate import _at_least_zero, _count, _num, _pos, check_fields, checked
 from .world import ContactResult, HeldObject, NoContactWithinRange, World
+
+
+def _above_one(value, path: str) -> float:
+    return _num(value, path, lo=1.0, lo_open=True)
 
 
 class PlacementOutcome(Enum):
@@ -40,35 +45,18 @@ class PlacementOutcome(Enum):
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    resistance_threshold: float = 10.0      # N, press-until force
-    torque_release_threshold: float = 0.05  # N*m on the torque residual
-    step_gain: float = 0.5                  # flat-seeking nudge; 0 disables
-    flat_dir_floor: float = 0.02            # tilt deadband (sine of the angle)
-    raise_height: float = 0.02              # m lifted between presses
-    force_floor: float = DEFAULT_FORCE_FLOOR  # N, degenerate-press cutoff
-    max_iterations: int = 10
-    workspace_limit: float = 0.2            # m, symmetric xy clamp
-    repress_scale: float = 1.5              # threshold factor for the retry press
+    resistance_threshold: float = checked(10.0, _pos)      # N, press-until force
+    torque_release_threshold: float = checked(0.05, _pos)  # N*m on the torque residual
+    step_gain: float = checked(0.5, _at_least_zero)        # flat-seeking nudge; 0 disables
+    flat_dir_floor: float = checked(0.02, _at_least_zero)  # tilt deadband (sine of the angle)
+    raise_height: float = checked(0.02, _at_least_zero)    # m lifted between presses
+    force_floor: float = checked(DEFAULT_FORCE_FLOOR, _pos)  # N, degenerate-press cutoff
+    max_iterations: int = checked(10, _count)
+    workspace_limit: float = checked(0.2, _pos)            # m, symmetric xy clamp
+    repress_scale: float = checked(1.5, _above_one)        # threshold factor for the retry press
 
     def __post_init__(self):
-        # each range is a chained comparison, which a NaN or an infinity fails
-        inf = np.inf
-        if not (0.0 < self.resistance_threshold < inf and 0.0 < self.torque_release_threshold < inf
-                and 0.0 < self.force_floor < inf):
-            raise ValueError("resistance_threshold, torque_release_threshold and force_floor must "
-                             f"be positive and finite, got {self.resistance_threshold}, "
-                             f"{self.torque_release_threshold} and {self.force_floor}")
-        if not (0.0 <= self.step_gain < inf and 0.0 <= self.flat_dir_floor < inf
-                and 0.0 <= self.raise_height < inf):
-            raise ValueError("step_gain, flat_dir_floor and raise_height must be non-negative and "
-                             f"finite, got {self.step_gain}, {self.flat_dir_floor} and "
-                             f"{self.raise_height}")
-        if not (0.0 < self.workspace_limit < inf and 1.0 < self.repress_scale < inf):
-            raise ValueError("workspace_limit must be finite and positive, repress_scale finite "
-                             f"and above 1, got {self.workspace_limit} and {self.repress_scale}")
-        m = self.max_iterations
-        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-            raise ValueError(f"max_iterations must be an integer of at least 1, got {m!r}")
+        check_fields(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,14 +2,16 @@
 
 A scenario is a versioned YAML mapping that pins every stochastic element to
 an explicit seed, so a batch re-run reproduces its report byte for byte. The
-parser validates eagerly and reports problems by field path; builders turn
-the validated sections into live world, object, sensor, and policy values.
+parser validates eagerly and reports problems by field path. The sensor,
+window and policy sections are parsed into their config objects, whose
+fields check themselves; builders turn the other validated sections into
+live world and object values, and hand a trial's sensor its generator.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -19,6 +21,7 @@ import yaml
 from .policy import PlacementOutcome, PolicyConfig
 from .sensor import ForceTorqueSensor, ReadingWindow, SensorConfig
 from .surfaces import FlatPlane, HeightField, Puck, RampPatch, SphericalCap
+from .validate import ScenarioError, _at_least_zero, _count, _fail, _int, _num, _pos, _vec, _xyz
 from .world import (
     BottomProfile,
     Footprint,
@@ -38,14 +41,6 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _PLACEMENT_FAMILIES = ("zero_offset", "offset_recovery", "ramp")
 
 
-class ScenarioError(ValueError):
-    """Scenario file failed validation; message carries the field path."""
-
-
-def _fail(path: str, problem: str):
-    raise ScenarioError(f"{path}: {problem}")
-
-
 def _mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         _fail(path, f"expected a mapping, got {type(value).__name__}")
@@ -62,27 +57,6 @@ def _check_keys(d: dict, path: str, required: tuple, optional: tuple = ()):
             _fail(f"{path}.{key}", "unknown key")
 
 
-def _num(value, path: str, lo=None, hi=None, lo_open=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
-    v = float(value)
-    if not np.isfinite(v):
-        _fail(path, "must be finite")
-    if lo is not None and (v <= lo if lo_open else v < lo):
-        _fail(path, f"must be {'>' if lo_open else '>='} {lo}, got {v}")
-    if hi is not None and v > hi:
-        _fail(path, f"must be <= {hi}, got {v}")
-    return v
-
-
-def _int(value, path: str, lo=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        _fail(path, f"must be >= {lo}, got {value}")
-    return value
-
-
 def check_seed(value) -> int:
     """A scenario's seed, from its file or an override: a non-negative integer.
     An override may be any integer type (``np.int64``, say), never a bool."""
@@ -95,12 +69,6 @@ def _bool(value, path: str) -> bool:
     if not isinstance(value, bool):
         _fail(path, f"expected a boolean, got {value!r}")
     return value
-
-
-def _vec(value, n: int, path: str) -> list:
-    if not isinstance(value, (list, tuple)) or len(value) != n:
-        _fail(path, f"expected a list of {n} numbers, got {value!r}")
-    return [_num(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _choice(value, choices: tuple, path: str) -> str:
@@ -123,28 +91,12 @@ def _list(value, path: str, item: Callable) -> list:
     return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _pos(value, path: str) -> float:
-    return _num(value, path, lo=0.0, lo_open=True)
-
-
-def _at_least_zero(value, path: str) -> float:
-    return _num(value, path, lo=0.0)
-
-
 def _rate(value, path: str) -> float:
     return _num(value, path, lo=0.0, hi=1.0)
 
 
-def _count(value, path: str) -> int:
-    return _int(value, path, lo=1)
-
-
 def _xy(value, path: str) -> list:
     return _vec(value, 2, path)
-
-
-def _xyz(value, path: str) -> list:
-    return _vec(value, 3, path)
 
 
 _REQUIRED = object()
@@ -229,28 +181,23 @@ def _parse_surface(data, path: str) -> dict:
     return out
 
 
-# SimParams field -> (lower bound, bound excluded); a None bound only asks for
-# a finite value. Pitches, steps and stiffness divide or scale every trial.
-_SIM_PARAM_BOUNDS = {
-    "spring_k": (0.0, True),
-    "descent_step": (0.0, True),
-    "contact_pitch": (0.0, True),
-    "raster_pitch": (0.0, True),
-    "patch_tie_tol": (0.0, False),
-    "stability_margin": (0.0, False),
-    "gravity": (0.0, True),
-    "wrist_lift": (0.0, False),
-    "gripper_mass": (0.0, False),
-    "descent_floor": (None, False),
-}
+def _config(cls, data, path: str):
+    """A config built from a mapping of its fields; an unknown key fails, an
+    absent one takes the class default, and a field's own check fails with
+    the mapping's path in front of its name."""
+    d = _mapping(data, path)
+    _check_keys(d, path, (), tuple(f.name for f in fields(cls)))
+    try:
+        return cls(**d)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}.{exc}") from None
 
 
 def _sim_params(data, path: str) -> dict:
-    """Only the params given, in the order given: save_scenario writes them so."""
-    d = _mapping(data, path)
-    _check_keys(d, path, (), tuple(_SIM_PARAM_BOUNDS))
-    return {k: _num(v, f"{path}.{k}", lo=_SIM_PARAM_BOUNDS[k][0], lo_open=_SIM_PARAM_BOUNDS[k][1])
-            for k, v in d.items()}
+    """Only the params given, in the order given: save_scenario writes them so.
+    Each is checked, and kept, as SimParams stores it."""
+    params = _config(SimParams, data, path)
+    return {k: getattr(params, k) for k in data}
 
 
 _WORLD_KEYS = {
@@ -311,34 +258,6 @@ def _parse_object(data, path: str) -> dict:
         _fail(path, "give com_offset or com_offset_sampler, not both")
     return obj
 
-
-def _config_keys(config, checks: dict) -> dict:
-    """A key table over a config's fields, each defaulting to the config's value."""
-    return {name: _Key(check, getattr(config, name)) for name, check in checks.items()}
-
-
-_SENSOR_KEYS = _config_keys(SensorConfig(), {
-    "sample_rate": _pos,
-    "noise_force": _at_least_zero,
-    "noise_torque": _at_least_zero,
-    "bias_force": _xyz,
-    "bias_torque": _xyz,
-    "drift_force": _xyz,
-    "drift_torque": _xyz,
-})
-_WINDOW_KEYS = _config_keys(ReadingWindow(), {"settle_time": _at_least_zero,
-                                              "average_time": _pos})
-_POLICY_KEYS = _config_keys(PolicyConfig(), {
-    "resistance_threshold": _pos,
-    "torque_release_threshold": _pos,
-    "step_gain": _at_least_zero,
-    "flat_dir_floor": _at_least_zero,
-    "raise_height": _at_least_zero,
-    "force_floor": _pos,
-    "max_iterations": _count,
-    "workspace_limit": _pos,
-    "repress_scale": lambda v, p: _num(v, p, lo=1.0, lo_open=True),
-})
 
 # defaults of every section that places objects: the flat-press spot and the hover height
 _CALIBRATION_XY = [0.15, -0.15]
@@ -536,9 +455,9 @@ def evaluate_expect(scenario: Scenario, results: dict) -> dict:
 _SECTION_PARSERS = {
     "world": _section(_WORLD_KEYS),
     "object": _parse_object,
-    "sensor": _section(_SENSOR_KEYS),
-    "window": _section(_WINDOW_KEYS),
-    "policy": _section(_POLICY_KEYS),
+    "sensor": partial(_config, SensorConfig),
+    "window": partial(_config, ReadingWindow),
+    "policy": partial(_config, PolicyConfig),
     "placement": _section(_PLACEMENT_KEYS),
     "stack": _section(_STACK_KEYS),
     "sweep": _section(_SWEEP_KEYS),
@@ -562,15 +481,17 @@ FAMILIES = tuple(_FAMILY_SECTIONS)
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario with canonical (defaults-filled) sections."""
+    """Validated scenario with canonical (defaults-filled) sections. The
+    sensor, window and policy sections are the configs they describe, built
+    and checked once, here; every trial uses them as they are."""
 
     name: str
     family: str
     seed: int
     trials: int
-    sensor: dict
-    window: dict
-    policy: dict
+    sensor: SensorConfig
+    window: ReadingWindow
+    policy: PolicyConfig
     expect: dict
     world: dict | None = None
     obj: dict | None = None
@@ -614,12 +535,13 @@ class Scenario:
             sections[key] = _SECTION_PARSERS[key](value, f"scenario.{key}")
 
         # the sensor's own expression, so a window it would refuse fails here
-        rate = sections["sensor"]["sample_rate"]
-        for key, span in sections["window"].items():
+        rate, window = sections["sensor"].sample_rate, sections["window"]
+        for f in fields(window):
+            span = getattr(window, f.name)
             if np.floor(span * rate) > MAX_WINDOW_SAMPLES:  # an overflow to inf too
-                _fail(f"scenario.window.{key}", f"window of {span} s takes more than "
+                _fail(f"scenario.window.{f.name}", f"window of {span} s takes more than "
                       f"{MAX_WINDOW_SAMPLES} samples at {rate} Hz")
-        average = sections["window"]["average_time"]
+        average = window.average_time
         if int(np.floor(average * rate)) < 1:
             _fail("scenario.window.average_time",
                   f"window of {average} s yields no samples at {rate} Hz")
@@ -646,7 +568,10 @@ class Scenario:
                "seed": self.seed, "trials": self.trials}
         for key in _SECTION_PARSERS:
             section = getattr(self, "obj" if key == "object" else key)
-            if section:
+            if is_dataclass(section):  # a config: every field, vectors as lists
+                out[key] = {k: list(v) if isinstance(v, tuple) else v
+                            for k, v in asdict(section).items()}
+            elif section:
                 out[key] = {k: v for k, v in section.items() if v is not None}
         if self.obj is not None and self.obj["com_offset_sampler"] is not None:
             del out["object"]["com_offset"]
@@ -723,14 +648,6 @@ def sample_start_xy(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
 
 
 def build_sensor(scenario: Scenario, rng: np.random.Generator) -> ForceTorqueSensor:
-    config = SensorConfig(**{k: tuple(v) if isinstance(v, list) else v
-                             for k, v in scenario.sensor.items()})
-    return ForceTorqueSensor(config, rng)
-
-
-def build_window(scenario: Scenario) -> ReadingWindow:
-    return ReadingWindow(**scenario.window)
-
-
-def build_policy(scenario: Scenario) -> PolicyConfig:
-    return PolicyConfig(**scenario.policy)
+    """A trial's sensor: the scenario's checked config, read with the
+    trial's own generator."""
+    return ForceTorqueSensor(scenario.sensor, rng)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spatial import _as_vec3
+from .validate import _at_least_zero, _pos, _xyz, check_fields, checked
 
 
 class InsufficientSamples(RuntimeError):
@@ -23,44 +24,41 @@ class InsufficientSamples(RuntimeError):
 
 @dataclass(frozen=True)
 class SensorConfig:
-    sample_rate: float = 25.0      # Hz
-    noise_torque: float = 0.01     # N*m std per axis
-    noise_force: float = 0.25      # N std per axis
-    bias_torque: tuple = (0.0, 0.0, 0.0)
-    bias_force: tuple = (0.0, 0.0, 0.0)
-    drift_torque: tuple = (0.0, 0.0, 0.0)  # N*m per second
-    drift_force: tuple = (0.0, 0.0, 0.0)   # N per second
+    """Sensor rate, noise, bias and drift; checked at construction."""
+
+    sample_rate: float = checked(25.0, _pos)                 # Hz
+    noise_force: float = checked(0.25, _at_least_zero)       # N std per axis
+    noise_torque: float = checked(0.01, _at_least_zero)      # N*m std per axis
+    bias_force: tuple = checked((0.0, 0.0, 0.0), _xyz)
+    bias_torque: tuple = checked((0.0, 0.0, 0.0), _xyz)
+    drift_force: tuple = checked((0.0, 0.0, 0.0), _xyz)      # N per second
+    drift_torque: tuple = checked((0.0, 0.0, 0.0), _xyz)     # N*m per second
 
     def __post_init__(self):
-        # each range is a chained comparison, which a NaN or an infinity fails
-        if not 0.0 < self.sample_rate < np.inf:
-            raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
-        if not (0.0 <= self.noise_torque < np.inf and 0.0 <= self.noise_force < np.inf):
-            raise ValueError("noise_torque and noise_force must be non-negative and finite, "
-                             f"got {self.noise_torque} and {self.noise_force}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class ReadingWindow:
-    settle_time: float = 0.1    # s discarded after a pose change
-    average_time: float = 0.5   # s averaged into one reading
+    settle_time: float = checked(0.1, _at_least_zero)  # s discarded after a pose change
+    average_time: float = checked(0.5, _pos)           # s averaged into one reading
 
     def __post_init__(self):
-        if not (0.0 <= self.settle_time < np.inf and 0.0 <= self.average_time < np.inf):
-            raise ValueError("settle_time and average_time must be non-negative and finite, "
-                             f"got {self.settle_time} and {self.average_time}")
+        check_fields(self)
 
 
 class ForceTorqueSensor:
-    """Noisy, biased wrench readings, reproducible from (rng state, sample index)."""
+    """Noisy, biased wrench readings, reproducible from (rng state, sample index).
+
+    The config is valid by construction, so its bias and drift tuples of
+    floats are taken as they are; the generator is the trial's own.
+    """
 
     def __init__(self, config: SensorConfig, rng: np.random.Generator):
         self.config = config
         self._rng = rng
-        self._bias = [*_as_vec3(config.bias_torque, "bias_torque").tolist(),
-                      *_as_vec3(config.bias_force, "bias_force").tolist()]
-        self._drift = [*_as_vec3(config.drift_torque, "drift_torque").tolist(),
-                       *_as_vec3(config.drift_force, "drift_force").tolist()]
+        self._bias = [*config.bias_torque, *config.bias_force]
+        self._drift = [*config.drift_torque, *config.drift_force]
         self._std = np.repeat([config.noise_torque, config.noise_force], 3)
         self._pending = iter(())  # noise rows drawn ahead by read_rows
         self._samples = 0

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .validate import _at_least_zero, _num, _pos
+
 NO_SURFACE = -np.inf
 
 
@@ -25,6 +27,9 @@ class FlatPlane:
     """Infinite horizontal plane."""
 
     height_value: float = 0.0
+
+    def __post_init__(self):
+        _num(self.height_value, "height_value")
 
     def height(self, x, y):
         x = _arr(x)
@@ -46,6 +51,8 @@ class RampPatch:
     azimuth: float = 0.0  # rad, 0 = rises along +x
 
     def __post_init__(self):
+        _num(self.base_height, "base_height")
+        _num(self.azimuth, "azimuth")
         if not 0.0 < self.slope_angle < np.pi / 2:
             raise ValueError("slope_angle must be in (0, pi/2)")
 
@@ -82,12 +89,10 @@ class Puck:
     ripple_wavelength: float = 0.02
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
-        if self.ripple_amplitude < 0.0:
-            raise ValueError("ripple_amplitude must be non-negative")
-        if self.ripple_amplitude > 0.0 and self.ripple_wavelength <= 0.0:
-            raise ValueError("ripple_wavelength must be positive")
+        _pos(self.radius, "radius")
+        _num(self.top_height, "top_height")
+        if _at_least_zero(self.ripple_amplitude, "ripple_amplitude") > 0.0:
+            _pos(self.ripple_wavelength, "ripple_wavelength")
 
     def _local(self, x, y):
         return _arr(x) - self.center[0], _arr(y) - self.center[1]
@@ -122,8 +127,9 @@ class SphericalCap:
     apex_height: float
 
     def __post_init__(self):
-        if self.extent_radius <= 0.0 or self.curvature_radius <= 0.0:
-            raise ValueError("radii must be positive")
+        _pos(self.extent_radius, "extent_radius")
+        _pos(self.curvature_radius, "curvature_radius")
+        _num(self.apex_height, "apex_height")
         if self.extent_radius >= self.curvature_radius:
             raise ValueError("extent_radius must be smaller than curvature_radius")
 
@@ -163,8 +169,7 @@ class HeightField:
     """
 
     def __init__(self, origin: tuple[float, float], pitch: float, values: np.ndarray):
-        if pitch <= 0.0:
-            raise ValueError("pitch must be positive")
+        _pos(pitch, "pitch")
         self.origin = (float(origin[0]), float(origin[1]))
         self.pitch = float(pitch)
         self.values = np.asarray(values, dtype=float)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .spatial import _row_dots, cross, cross_floats
 from .surfaces import HeightField, LayeredSurface
+from .validate import _at_least_zero, _num, _pos, _xyz, check_fields, checked
 
 
 class NoContactWithinRange(RuntimeError):
@@ -43,8 +44,7 @@ class Footprint:
     def __post_init__(self):
         if self.kind not in ("disk", "square"):
             raise ValueError(f"unknown footprint kind {self.kind!r}")
-        if self.size <= 0.0:
-            raise ValueError("footprint size must be positive")
+        _pos(self.size, "size")
 
     def sample_offsets(self, pitch: float) -> np.ndarray:
         """Read-only (2, K) sample offsets: the x and the y row, samples in
@@ -101,8 +101,8 @@ class BottomProfile:
     def __post_init__(self):
         if self.kind not in ("flat", "dome"):
             raise ValueError(f"unknown bottom kind {self.kind!r}")
-        if self.kind == "dome" and self.curvature_radius <= 0.0:
-            raise ValueError("dome bottom needs a positive curvature_radius")
+        if self.kind == "dome":
+            _pos(self.curvature_radius, "curvature_radius")
 
     def clearance(self, dx, dy):
         dx = np.asarray(dx, dtype=float)
@@ -126,8 +126,8 @@ class TopProfile:
         if self.kind not in ("flat", "undulating"):
             raise ValueError(f"unknown top kind {self.kind!r}")
         if self.kind == "undulating":
-            if self.amplitude <= 0.0 or self.wavelength <= 0.0:
-                raise ValueError("undulating top needs positive amplitude and wavelength")
+            _pos(self.amplitude, "amplitude")
+            _pos(self.wavelength, "wavelength")
 
     def rise(self, dx, dy):
         dx = np.asarray(dx, dtype=float)
@@ -156,33 +156,31 @@ class HeldObject:
     tip_to_bottom: float | None = None  # grasp height above the bottom face
 
     def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
-        if self.thickness <= 0.0:
-            raise ValueError("thickness must be positive")
-        object.__setattr__(self, "com_offset", np.asarray(self.com_offset, dtype=float))
-        if self.com_offset.shape != (3,):
-            raise ValueError("com_offset must be a 3-vector")
+        _pos(self.mass, "mass")
+        _pos(self.thickness, "thickness")
+        com_offset = np.asarray(self.com_offset, dtype=float).tolist()
+        object.__setattr__(self, "com_offset", np.array(_xyz(com_offset, "com_offset")))
         if self.tip_to_bottom is None:
             object.__setattr__(self, "tip_to_bottom", self.thickness / 2.0)
+        _pos(self.tip_to_bottom, "tip_to_bottom")
 
 
 @dataclass(frozen=True)
 class SimParams:
-    spring_k: float = 1e5          # N per m of interference
-    descent_step: float = 5e-4     # m
-    contact_pitch: float = 1e-3    # m, footprint sampling
-    raster_pitch: float = 2e-3     # m, tower height-field stamps
-    patch_tie_tol: float = 1e-6    # m, coplanarity tie tolerance
-    stability_margin: float = 1e-3  # m, support shrink / point slack
-    gravity: float = 9.81          # m/s^2
-    wrist_lift: float = 0.15       # m, tip to sensor origin
-    gripper_mass: float = 0.0      # kg, lumped at the tip
-    descent_floor: float = -0.02   # m, bottom-face budget before giving up
+    # pitches, steps and stiffness divide or scale every trial
+    spring_k: float = checked(1e5, _pos)                    # N per m of interference
+    descent_step: float = checked(5e-4, _pos)               # m
+    contact_pitch: float = checked(1e-3, _pos)              # m, footprint sampling
+    raster_pitch: float = checked(2e-3, _pos)               # m, tower height-field stamps
+    patch_tie_tol: float = checked(1e-6, _at_least_zero)    # m, coplanarity tie tolerance
+    stability_margin: float = checked(1e-3, _at_least_zero)  # m, support shrink / point slack
+    gravity: float = checked(9.81, _pos)                    # m/s^2
+    wrist_lift: float = checked(0.15, _at_least_zero)       # m, tip to sensor origin
+    gripper_mass: float = checked(0.0, _at_least_zero)      # kg, lumped at the tip
+    descent_floor: float = checked(-0.02, _num)             # m, bottom-face budget to give up at
 
     def __post_init__(self):
-        if self.spring_k <= 0.0 or self.descent_step <= 0.0 or self.contact_pitch <= 0.0:
-            raise ValueError("spring_k, descent_step and contact_pitch must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,9 @@ from ftstack.harness import (
     sweep_offsets,
     wilson_interval,
 )
+from ftstack.policy import PolicyConfig
 from ftstack.scenario import Scenario, ScenarioError, save_scenario
+from ftstack.sensor import ReadingWindow, SensorConfig
 from ftstack.spatial import RigidTransform, Wrench
 from ftstack.world import World
 
@@ -430,6 +432,24 @@ class TestReadings:
             assert report["passed"], name
         assert builds == []
         cls(first, np.zeros(3))  # a build the count does see
+        assert len(builds) == 1
+
+    def test_runs_build_no_config_after_load(self, monkeypatch, tmp_path):
+        # a scenario's sensor, window and policy are built once, when it loads
+        names = ("zero_offset_noiseless", "multi_stack_6", "noise_sweep", "finger_press")
+        loaded = {name: scenario.load_scenario(SCENARIO_DIR / f"{name}.yaml") for name in names}
+        builds = []
+        for cls in (SensorConfig, ReadingWindow, PolicyConfig):
+            def counted(self, post_init=cls.__post_init__):
+                builds.append(self)
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        for name, parsed in loaded.items():
+            report = run_scenario(parsed, out_dir=tmp_path / name)
+            assert report["passed"], name
+        assert builds == []
+        ReadingWindow()  # a build the count does see
         assert len(builds) == 1
 
     def test_report_rows_leave_the_trace_out(self):

@@ -17,13 +17,10 @@ from ftstack.scenario import (
     ScenarioError,
     _EXPECT,
     evaluate_expect,
-    _SIM_PARAM_BOUNDS,
     _SURFACES,
     build_object,
-    build_policy,
     build_sensor,
     build_surface,
-    build_window,
     build_world,
     load_scenario,
     sample_start_xy,
@@ -343,7 +340,14 @@ class TestValidation:
             Scenario.from_dict(d)
 
     def test_world_params_bounds_cover_sim_params(self):
-        assert set(_SIM_PARAM_BOUNDS) == {f.name for f in dataclasses.fields(SimParams)}
+        # every SimParams field declares its check, and the schema takes every field
+        fields = dataclasses.fields(SimParams)
+        assert all("check" in f.metadata for f in fields)
+        d = minimal_placement()
+        d["world"]["params"] = {f.name: 1 for f in reversed(fields)}
+        params = Scenario.from_dict(d).world["params"]
+        assert list(params) == [f.name for f in reversed(fields)]
+        assert all(type(v) is float and v == 1.0 for v in params.values())
 
     @pytest.mark.parametrize("make, key, value", [
         (minimal_placement, "median_below_deg", 10.0),
@@ -399,13 +403,13 @@ class TestValidation:
                                                 r"0\.01 s yields no samples at 25\.0 Hz$"):
             Scenario.from_dict(d)
         d["sensor"] = {"sample_rate": 100.0}
-        assert Scenario.from_dict(d).window["average_time"] == 0.01
+        assert Scenario.from_dict(d).window.average_time == 0.01
 
     @pytest.mark.parametrize("key", ["settle_time", "average_time"])
     def test_window_past_the_sample_cap(self, key):
         d = minimal_press()
         d["window"] = {"settle_time": 0.0, key: MAX_WINDOW_SAMPLES / 25.0}
-        assert Scenario.from_dict(d).window[key] == 40000.0
+        assert getattr(Scenario.from_dict(d).window, key) == 40000.0
         d["window"][key] = 1e300
         with pytest.raises(ScenarioError, match=rf"^scenario\.window\.{key}: window of 1e\+300 s "
                                                 rf"takes more than 1000000 samples at 25\.0 Hz$"):
@@ -759,9 +763,11 @@ class TestKeyTables:
         ("sensor", SensorConfig), ("window", ReadingWindow), ("policy", PolicyConfig),
     ])
     def test_config_sections_cover_their_fields(self, section, config):
-        canonical = getattr(Scenario.from_dict(minimal_placement()), section)
-        assert set(canonical) == {f.name for f in dataclasses.fields(config)}
+        scenario = Scenario.from_dict(minimal_placement())
         default = config()
+        assert getattr(scenario, section) == default
+        canonical = scenario.to_dict()[section]
+        assert list(canonical) == [f.name for f in dataclasses.fields(config)]
         for key, value in canonical.items():
             want = getattr(default, key)
             assert value == (list(want) if isinstance(want, tuple) else want), key
@@ -794,6 +800,76 @@ class TestKeyTables:
                 == yaml.safe_dump(doc, sort_keys=False))
         save_scenario(scenario, tmp_path / "copy.yaml")
         assert load_scenario(tmp_path / "copy.yaml") == scenario
+
+
+# scripts/schema_digest.py's BAD_VALUES
+BAD_VALUES = (None, True, 0, 1, -1, 0.0, -0.5, 0.5, 2.5, 1e9, float("nan"), float("inf"),
+              "x", [], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0, 0.0], {})
+
+
+def _parse_config_section(section: str, values: dict):
+    """The scenario section's parse of the given keys: the config, or for
+    world.params the checked params; the ScenarioError when it refuses."""
+    parse = scenario_module._SECTION_PARSERS
+    try:
+        if section == "world.params":
+            world = {"surfaces": [{"kind": "flat"}], "params": values}
+            return parse["world"](world, "scenario.world")["params"]
+        return parse[section](values, f"scenario.{section}")
+    except ScenarioError as exc:
+        return exc
+
+
+class TestDeclaredOnce:
+    """Each config field's check is declared once, on its class: the
+    scenario section refuses a value exactly when direct construction does."""
+
+    @pytest.mark.parametrize("section, config", [
+        ("sensor", SensorConfig), ("window", ReadingWindow), ("policy", PolicyConfig),
+        ("world.params", SimParams),
+    ])
+    def test_sections_refuse_what_their_configs_refuse(self, section, config):
+        default = config()
+        for field in dataclasses.fields(config):
+            for bad in BAD_VALUES:
+                label = f"{field.name} = {bad!r}"
+                parsed = _parse_config_section(section, {field.name: copy.deepcopy(bad)})
+                try:
+                    direct = config(**{field.name: copy.deepcopy(bad)})
+                except ValueError as exc:
+                    assert isinstance(parsed, ScenarioError), label
+                    assert str(parsed) == f"scenario.{section}.{exc}", label
+                    continue
+                assert not isinstance(parsed, ScenarioError), f"{label}: {parsed}"
+                value = getattr(direct, field.name)
+                assert value == (parsed[field.name] if section == "world.params"
+                                 else getattr(parsed, field.name)), label
+                # stored as checked: a number as a float, a vector as a tuple of floats
+                assert type(value) is type(getattr(default, field.name)), label
+                if isinstance(value, tuple):
+                    assert all(type(v) is float for v in value), label
+
+    def test_config_errors_start_with_the_field(self):
+        with pytest.raises(ValueError, match=r"^drift_force\[1\]: must be finite$"):
+            SensorConfig(drift_force=(0.0, float("nan"), 0.0))
+        with pytest.raises(ValueError, match=r"^average_time: must be > 0\.0, got 0\.0$"):
+            ReadingWindow(average_time=0.0)
+        for key, value in [("descent_step", float("nan")), ("raster_pitch", 0.0),
+                           ("gravity", -9.81)]:
+            with pytest.raises(ValueError, match=rf"^{key}: must be"):
+                SimParams(**{key: value})
+
+    def test_sections_are_their_configs(self):
+        scenario = Scenario.from_dict(full_placement())
+        assert scenario.sensor == SensorConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                                  for k, v in FULL_SENSOR.items()})
+        assert scenario.window == ReadingWindow(**FULL_WINDOW)
+        assert scenario.policy == PolicyConfig(**FULL_POLICY)
+        assert scenario.sensor.bias_force == (0.1, 0.0, -0.1)
+        # to_dict writes the fields in declaration order, the schema's key order
+        canonical = scenario.to_dict()
+        assert [list(canonical[k]) for k in ("sensor", "window", "policy")] == [
+            list(FULL_SENSOR), list(FULL_WINDOW), list(FULL_POLICY)]
 
 
 class TestBuilders:
@@ -848,8 +924,10 @@ class TestBuilders:
         )
 
     def test_build_policy_uses_file_defaults(self):
-        scenario = Scenario.from_dict(minimal_placement())
-        config = build_policy(scenario)
+        d = minimal_placement()
+        d["policy"] = {"max_iterations": 4, "repress_scale": 2}
+        config = Scenario.from_dict(d).policy
+        assert config == PolicyConfig(max_iterations=4, repress_scale=2.0)
         assert config.resistance_threshold == 10.0
         assert config.flat_dir_floor == 0.02
 
@@ -866,9 +944,10 @@ class TestBuilders:
     def test_build_window(self):
         d = minimal_placement()
         d["window"] = {"settle_time": 0.2, "average_time": 0.4}
-        window = build_window(Scenario.from_dict(d))
-        assert window.settle_time == 0.2
-        assert window.average_time == 0.4
+        window = Scenario.from_dict(d).window
+        assert window == ReadingWindow(settle_time=0.2, average_time=0.4)
+        d["window"] = {"settle_time": 0}
+        assert Scenario.from_dict(d).window == ReadingWindow(settle_time=0.0)
 
 
 def _trials(key, values) -> list:

@@ -27,6 +27,10 @@ class TestFlatPlane:
         gx, gy = FlatPlane().grad(0.2, -0.1)
         assert float(gx) == 0.0 and float(gy) == 0.0
 
+    def test_non_finite_height_rejected(self):
+        with pytest.raises(ValueError, match=r"^height_value: must be finite$"):
+            FlatPlane(float("nan"))
+
 
 class TestRampPatch:
     def test_height_profile_along_azimuth(self):
@@ -52,6 +56,8 @@ class TestRampPatch:
     def test_slope_bounds(self):
         with pytest.raises(ValueError):
             RampPatch((-1, 1), (-1, 1), 0.0, slope_angle=0.0)
+        with pytest.raises(ValueError, match=r"^base_height: must be finite$"):
+            RampPatch((-1, 1), (-1, 1), float("nan"), slope_angle=0.1)
 
 
 class TestPuck:
@@ -60,6 +66,12 @@ class TestPuck:
         assert puck.height(0.0, 0.0) == pytest.approx(0.04)
         assert puck.height(0.05, 0.0) == pytest.approx(0.04)  # rim included
         assert puck.height(0.051, 0.0) == NO_SURFACE
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ValueError, match=r"^radius: must be finite$"):
+            Puck((0.0, 0.0), radius=float("nan"), top_height=0.04)
+        with pytest.raises(ValueError, match=r"^top_height: must be finite$"):
+            Puck((0.0, 0.0), radius=0.05, top_height=float("inf"))
 
     def test_ripple_peaks_and_valleys(self):
         amp, wl = 0.001, 0.02
@@ -90,12 +102,20 @@ class TestSphericalCap:
     def test_extent_must_be_under_curvature(self):
         with pytest.raises(ValueError):
             SphericalCap((0.0, 0.0), 0.2, 0.1, 0.05)
+        with pytest.raises(ValueError, match=r"^extent_radius: must be finite$"):
+            SphericalCap((0.0, 0.0), float("nan"), 0.1, 0.05)
 
 
 class TestHeightField:
     def test_empty_field_has_no_material(self):
         hf = HeightField.empty((-0.1, 0.1), (-0.1, 0.1), 0.002)
         assert hf.height(0.0, 0.0) == NO_SURFACE
+
+    def test_pitch_must_be_finite_and_cells_may_be_empty(self):
+        with pytest.raises(ValueError, match=r"^pitch: must be finite$"):
+            HeightField((0.0, 0.0), float("nan"), np.zeros((2, 2)))
+        hf = HeightField((0.0, 0.0), 0.01, np.full((2, 2), NO_SURFACE))
+        assert hf.height(0.005, 0.005) == NO_SURFACE
 
     def test_stamp_disk_then_interpolate(self):
         hf = HeightField.empty((-0.1, 0.1), (-0.1, 0.1), 0.002)

@@ -46,6 +46,9 @@ class TestFootprint:
             Footprint("hexagon", 0.05)
         with pytest.raises(ValueError):
             Footprint("disk", 0.0)
+        for size in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"^size: must be finite$"):
+                Footprint("disk", size)
 
     def test_sample_offsets_cover_the_exact_boundary(self):
         offs = Footprint("disk", 0.05).sample_offsets(1e-3).T
@@ -826,6 +829,21 @@ class TestProfiles:
             TopProfile("undulating", amplitude=0.0)
         with pytest.raises(ValueError):
             HeldObject(mass=0.0, footprint=Footprint("disk", 0.05), thickness=0.02)
+        # non-finite and negative values, each refused by an error that names its field
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(ValueError, match=r"^curvature_radius: must be finite$"):
+            BottomProfile("dome", nan)
+        with pytest.raises(ValueError, match=r"^amplitude: must be finite$"):
+            TopProfile("undulating", nan, 0.02)
+        for key, value, error in [
+            ("mass", nan, r"mass: must be finite"),
+            ("thickness", inf, r"thickness: must be finite"),
+            ("com_offset", (0.0, nan, 0.0), r"com_offset\[1\]: must be finite"),
+            ("tip_to_bottom", -1.0, r"tip_to_bottom: must be > 0\.0, got -1\.0"),
+        ]:
+            kw = {"mass": 1.0, "footprint": Footprint("disk", 0.05), "thickness": 0.02, key: value}
+            with pytest.raises(ValueError, match=rf"^{error}$"):
+                HeldObject(**kw)
 
 
 FAR_XY = (0.15, -0.15)  # a calibration site, well away from any stamp at the origin
