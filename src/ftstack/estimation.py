@@ -46,8 +46,12 @@ class ForceBudget:
     def __post_init__(self):
         object.__setattr__(self, "gravity", _as_vec3(self.gravity, "gravity"))
         object.__setattr__(self, "push", _as_vec3(self.push, "push"))
-        if self.gravity[2] > 0.0:
-            raise ValueError(f"gravity must not point up, got {self.gravity}")
+        _refuse_upward(self.gravity)
+
+
+def _refuse_upward(gravity: np.ndarray) -> None:
+    if gravity[2] > 0.0:
+        raise ValueError(f"gravity must not point up, got {gravity}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +76,11 @@ def recover_contact_offset(f_n, torque, force_floor: float = DEFAULT_FORCE_FLOOR
     Raises DegenerateNormalForce when |F_N| <= force_floor; below that the
     division amplifies noise past usefulness.
     """
-    f = _as_vec3(f_n, "f_n")
-    tau = _as_vec3(torque, "torque")
+    return _contact_offset(_as_vec3(f_n, "f_n"), _as_vec3(torque, "torque"), force_floor)
+
+
+def _contact_offset(f: np.ndarray, tau: np.ndarray, force_floor: float) -> np.ndarray:
+    """``recover_contact_offset`` on checked (3,) float arrays."""
     norm_sq = float(f @ f)
     if norm_sq <= force_floor * force_floor:
         raise DegenerateNormalForce(
@@ -87,6 +94,11 @@ def flat_direction(n_hat) -> np.ndarray:
     n = _as_vec3(n_hat, "n_hat")
     if abs(np.linalg.norm(n) - 1.0) > 1e-9:
         raise ValueError(f"n_hat must be unit length, got norm {np.linalg.norm(n)!r}")
+    return _flat_direction(n)
+
+
+def _flat_direction(n: np.ndarray) -> np.ndarray:
+    """``flat_direction`` of a checked (3,) unit normal."""
     return Z_HAT - np.dot(n, Z_HAT) * n
 
 
@@ -104,23 +116,26 @@ def estimate_contact(
     with the hover ``gravity`` estimate it forms the force budget, the push
     being the reaction of the sensed force. Constant sensor bias cancels
     between the two terms.
+
+    Each input is checked once, in the order the public helpers would check
+    them: gravity, force, gravity not pointing up, the press floor, torque.
     """
     g = _as_vec3(gravity, "gravity")
-    budget = ForceBudget(gravity=g, push=-_as_vec3(force, "force"))
-    f_n = solve_normal_force(budget)
+    push = -_as_vec3(force, "force")
+    _refuse_upward(g)
+    f_n = -(g + push)  # solve_normal_force
     press = float(np.linalg.norm(f_n))
     if press <= force_floor:
         raise DegenerateNormalForce(
             f"press of {press:.3g} N is at or below the floor {force_floor:g} N"
         )
     n_hat = f_n / press
-    r_t = recover_contact_offset(f_n, torque, force_floor)
     # r_T is orthogonal to F_N by construction; keep only its tangent meaning
     return ContactEstimate(
         normal_force=f_n,
         normal_dir=n_hat,
-        tangent_offset=r_t,
-        flat_dir=flat_direction(n_hat),
+        tangent_offset=_contact_offset(f_n, _as_vec3(torque, "torque"), force_floor),
+        flat_dir=_flat_direction(n_hat),
         press_magnitude=press,
     )
 

@@ -559,6 +559,77 @@ def _write_table(out_dir: Path, name: str, header: list, rows: list) -> str:
     return name
 
 
+# libyaml's emitter when PyYAML has it: the text yaml.safe_dump gives, faster
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_RESOLVER = yaml.resolver.Resolver()
+_MAP, _SEQ, _STR = (f"tag:yaml.org,2002:{kind}" for kind in ("map", "seq", "str"))
+
+
+def _float_text(value: float) -> str:
+    """``SafeRepresenter.represent_float``'s text for a float."""
+    if value != value:
+        return ".nan"
+    if value == math.inf:
+        return ".inf"
+    if value == -math.inf:
+        return "-.inf"
+    text = repr(value).lower()
+    return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
+
+
+# exact type -> (tag, text function): each text resolves back to its tag, so
+# these scalars are plain
+_SCALARS = {
+    bool: ("tag:yaml.org,2002:bool", lambda value: "true" if value else "false"),
+    int: ("tag:yaml.org,2002:int", str),
+    float: ("tag:yaml.org,2002:float", _float_text),
+    type(None): ("tag:yaml.org,2002:null", lambda value: "null"),
+}
+
+
+def _report_events(value, events: list, seen: set) -> None:
+    """Append the YAML events PyYAML's safe representer and serializer make
+    for a tree of dict, list, str, int, float, bool and None, keys in their
+    order: block containers with implicit tags, and the representer's scalar
+    texts. A string's plain-implicit flag comes from the resolver, so the
+    emitter quotes and folds it as it does for ``yaml.dump``."""
+    kind = type(value)
+    if kind is dict or kind is list:
+        if id(value) in seen:
+            raise ValueError(f"a {kind.__name__} appears twice in the report; "
+                             "yaml.dump would write an anchor and an alias")
+        seen.add(id(value))
+        if kind is dict:
+            events.append(yaml.MappingStartEvent(None, _MAP, True, flow_style=False))
+            for key, item in value.items():
+                _report_events(key, events, seen)
+                _report_events(item, events, seen)
+            events.append(yaml.MappingEndEvent())
+        else:
+            events.append(yaml.SequenceStartEvent(None, _SEQ, True, flow_style=False))
+            for item in value:
+                _report_events(item, events, seen)
+            events.append(yaml.SequenceEndEvent())
+    elif kind is str:
+        plain = _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == _STR
+        events.append(yaml.ScalarEvent(None, _STR, (plain, True), value))
+    elif kind in _SCALARS:
+        tag, text = _SCALARS[kind]
+        events.append(yaml.ScalarEvent(None, tag, (True, False), text(value)))
+    else:
+        raise TypeError("a report holds only dict, list, str, int, float, bool and None, "
+                        f"got {kind.__name__}")
+
+
+def _report_text(report: dict) -> str:
+    """The text ``yaml.dump(report, Dumper=_DUMPER, sort_keys=False)`` gives,
+    emitted from ``_report_events`` without PyYAML's representer."""
+    events = [yaml.StreamStartEvent(), yaml.DocumentStartEvent()]
+    _report_events(report, events, set())
+    events += [yaml.DocumentEndEvent(), yaml.StreamEndEvent()]
+    return yaml.emit(events, Dumper=_DUMPER)
+
+
 def emit_contact_plot_data(trace_path, out_dir=None) -> list:
     """Split a trace file's descent sections into plot-ready CSV files."""
     trace_path = Path(trace_path)
@@ -646,10 +717,7 @@ def run_scenario(source, out_dir=None, seed=None, jobs: int = 1) -> dict:
                 [[r.get(k) for k in columns] for r in rows],
             )}
         report["artifacts"] = artifacts
-        # libyaml's emitter when PyYAML has it: the text yaml.safe_dump gives, faster
-        report_text = yaml.dump(report, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper),
-                                sort_keys=False)
-        (out / "report.yaml").write_text(report_text, encoding="utf-8")
+        (out / "report.yaml").write_text(_report_text(report), encoding="utf-8")
     return report
 
 

@@ -2,15 +2,19 @@
 
 The sensor draws its noise from the generator it is given; its sample
 counter is the clock, one tick per ``sample`` call at the configured rate.
-A tick reads one true wrench, given as (3,) torque and force arrays.
-``read_rows`` draws many ticks' noise at once, but still reads each row with
-one ``sample`` call, so every tick stays visible to a subclass or a tracer.
+A tick is arithmetic on Python floats: it reads one true wrench, given as
+three torque and three force floats, and returns the six floats read.
+``read_rows`` and ``settle_and_average`` draw many ticks' noise at once and
+build their arrays once per call, but still read each row with one
+``sample`` call, so every tick stays visible to a subclass or a tracer.
 Noise defaults are tuned artifact choices, not measured hardware values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -76,33 +80,46 @@ class ForceTorqueSensor:
         pairs: ``0.0 + z * std`` is NumPy's ``loc + scale * z`` (``z * std`` gives -0.0 at 0)."""
         return (0.0 + self._rng.standard_normal((n, 6)) * self._std).tolist()
 
-    def sample(self, torque: np.ndarray, force: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One tick: the torque and force read for a true wrench's (3,) parts, each
-        component ((true + bias) + drift * t) + noise on floats, with the noise
-        row ``read_rows`` drew ahead, or one drawn here when none is pending."""
+    def sample(self, torque, force) -> list:
+        """One tick: the three torque and three force floats of a true wrench
+        read as six floats, torque first, each ((true + bias) + drift * t) +
+        noise, with the next noise row drawn ahead by ``_ticks``, or one drawn
+        here when none is pending."""
         t = self._samples / self.config.sample_rate
         self._samples += 1
-        (v0, v1, v2), (v3, v4, v5) = torque.tolist(), force.tolist()
+        (v0, v1, v2), (v3, v4, v5) = torque, force
         (b0, b1, b2, b3, b4, b5), (d0, d1, d2, d3, d4, d5) = self._bias, self._drift
         n0, n1, n2, n3, n4, n5 = next(self._pending, None) or self._noise(1)[0]
-        read = np.array([v0 + b0 + d0 * t + n0, v1 + b1 + d1 * t + n1, v2 + b2 + d2 * t + n2,
-                         v3 + b3 + d3 * t + n3, v4 + b4 + d4 * t + n4, v5 + b5 + d5 * t + n5])
-        return read[:3], read[3:]
+        return [v0 + b0 + d0 * t + n0, v1 + b1 + d1 * t + n1, v2 + b2 + d2 * t + n2,
+                v3 + b3 + d3 * t + n3, v4 + b4 + d4 * t + n4, v5 + b5 + d5 * t + n5]
+
+    def _ticks(self, torque_rows: list, force_rows: list) -> list:
+        """Read each row pair with one ``sample`` call, the noise of all the
+        rows drawn at once: the six floats read per row."""
+        self._pending = iter(self._noise(len(torque_rows)))
+        sample = self.sample
+        return [sample(tau, f) for tau, f in zip(torque_rows, force_rows)]
 
     def read_rows(self, torque_rows, force_rows) -> tuple[np.ndarray, np.ndarray]:
-        """Read N true torque and force rows, (3,) arrays each, one
-        ``sample`` call per row, with the noise of all N ticks drawn at once;
-        returns the (N, 3) torque and force read."""
-        self._pending = iter(self._noise(len(torque_rows)))
-        read = np.array([self.sample(tau, f) for tau, f in zip(torque_rows, force_rows)])
-        read = read.reshape(-1, 2, 3)  # (0, 2, 3) for no rows
-        return read[:, 0], read[:, 1]
+        """Read N true torque and force rows, both (N, 3), one tick per row;
+        returns the (N, 3) torque and force read. Rows of other shapes are
+        refused before any tick or draw."""
+        torque_rows = np.asarray(torque_rows, dtype=float)
+        force_rows = np.asarray(force_rows, dtype=float)
+        if torque_rows.shape[1:] != (3,) or force_rows.shape != torque_rows.shape:
+            raise ValueError(f"torque and force rows must both be (N, 3), got "
+                             f"{torque_rows.shape} and {force_rows.shape}")
+        read = np.array(self._ticks(torque_rows.tolist(), force_rows.tolist()))
+        read = read.reshape(-1, 6)  # (0, 6) for no rows
+        return read[:, :3], read[:, 3:]
 
     def settle_and_average(self, torque, force,
                            window: ReadingWindow) -> tuple[np.ndarray, np.ndarray]:
         """Discard the settle span, then average the window into one reading
         of a constant (quasi-static) true wrench, given as its (3,) torque and
-        force, one tick per sample; returns the (3,) torque and force read."""
+        force, one tick per sample; returns the (3,) torque and force read.
+        The kept rows are summed on floats in order from 0.0, the bits
+        ``np.add.reduce(rows, axis=0, initial=0.0)`` gives."""
         n_settle = int(np.floor(window.settle_time * self.config.sample_rate))
         n_avg = int(np.floor(window.average_time * self.config.sample_rate))
         if n_avg < 1:
@@ -111,7 +128,8 @@ class ForceTorqueSensor:
                 f"{self.config.sample_rate} Hz"
             )
         n = n_settle + n_avg
-        torque, force = _as_vec3(torque, "torque"), _as_vec3(force, "force")
-        read = self.read_rows([torque] * n, [force] * n)
-        # the kept rows summed in order from 0.0, as a per-tick += sums them
-        return tuple(np.add.reduce(rows[n_settle:], axis=0, initial=0.0) / n_avg for rows in read)
+        torque = _as_vec3(torque, "torque").tolist()
+        force = _as_vec3(force, "force").tolist()
+        kept = self._ticks([torque] * n, [force] * n)[n_settle:]
+        read = np.array([reduce(add, column, 0.0) / n_avg for column in zip(*kept)])
+        return read[:3], read[3:]

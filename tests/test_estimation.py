@@ -180,6 +180,42 @@ class TestEstimateContact:
         est = estimate_contact(*self.synth_reading(gravity, f_n, r), gravity)
         np.testing.assert_allclose(tangent_residual(est, r), 0.0, atol=1e-12)
 
+    def test_matches_the_public_helpers_bit_for_bit(self):
+        # the checked-once path against the helpers chained, each checking
+        # its own inputs, on readings with signed zeros
+        rng = np.random.default_rng(16)
+        for _ in range(500):
+            gravity = rng.normal(scale=0.5, size=3) + (0.0, 0.0, -9.81)
+            force, torque = rng.normal(scale=8.0, size=3), rng.normal(scale=0.3, size=3)
+            for v in (gravity, force, torque):
+                v[rng.random(3) < 0.25] = rng.choice([0.0, -0.0])
+            gravity[2] = -abs(gravity[2])
+            try:
+                est = estimate_contact(torque, force, gravity)
+            except DegenerateNormalForce:
+                assert np.linalg.norm(gravity - force) <= 1.0
+                continue
+            f_n = solve_normal_force(ForceBudget(gravity=gravity, push=-force))
+            press = float(np.linalg.norm(f_n))
+            n_hat = f_n / press
+            want = (f_n, n_hat, recover_contact_offset(f_n, torque), flat_direction(n_hat))
+            got = (est.normal_force, est.normal_dir, est.tangent_offset, est.flat_dir)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            assert est.press_magnitude == press
+
+    @pytest.mark.parametrize("torque, force, gravity, error, match", [
+        # each row breaks two inputs; the first check in order names its fault
+        (np.zeros(3), [0.0, 0.0, np.nan], [0.0, -9.81], ValueError, "gravity must be a 3-vector"),
+        (np.zeros(3), [0.0, 0.0, np.nan], [0.0, 0.0, 9.81], ValueError, "force must be finite"),
+        (np.zeros(3), [0.0, 0.0, 9.81], [0.0, 0.0, 9.81], ValueError, "gravity must not point up"),
+        ([np.inf] * 3, [0.0, 0.0, -9.5], [0.0, 0.0, -9.81], DegenerateNormalForce, "press of"),
+        ([0.0, 0.0], [0.0, 0.0, 0.19], [0.0, 0.0, -9.81], ValueError, "torque must be a 3-vector"),
+    ])
+    def test_checks_each_input_once_in_order(self, torque, force, gravity, error, match):
+        with pytest.raises(error, match=match):
+            estimate_contact(torque, force, gravity)
+
     def test_budget_rejects_upward_gravity(self):
         with pytest.raises(ValueError):
             ForceBudget(gravity=np.array([0.0, 0.0, 1.0]), push=np.zeros(3))

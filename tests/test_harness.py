@@ -11,6 +11,7 @@ from ftstack import harness, scenario
 from ftstack.cli import main
 from ftstack.harness import (
     ScenarioFamilyError,
+    _report_text,
     _sweep_trial,
     _trial_rngs,
     angle_error_deg,
@@ -496,7 +497,8 @@ def safe_dump_text(doc) -> str:
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 class TestReportEmitter:
-    """report.yaml goes through libyaml's emitter; its text must be safe_dump's."""
+    """report.yaml is emitted from events through libyaml's emitter; its
+    text must be safe_dump's."""
 
     @staticmethod
     def c_dump_text(doc) -> str:
@@ -521,6 +523,8 @@ class TestReportEmitter:
     def test_edge_case_values(self):
         report = run_scenario(tiny_press())
         long = "RuntimeError: " + "descent range of 12 steps misses the stop; " * 20
+        rng = np.random.default_rng(3)
+        scales = 10.0 ** rng.integers(-320, 308, 3000)
         report["results"]["per_trial"] = [
             {"trial": 0, "error": long},
             {"trial": 1, "error": "ValueError: name 'x' is \"odd\": a # not a comment"},
@@ -530,8 +534,25 @@ class TestReportEmitter:
                                     1e-300, 5e-324, 1.7976931348623157e308]},
             {"trial": 5, "empty_list": [], "empty_map": {}, "none": None, "flag": False,
              "yes": "yes", "null": "null", "number_text": "0.10", "colon": "a: b"},
+            # floats from 1e-320 to 1e308, and exponents repr writes without a "."
+            {"trial": 6, "values": (rng.normal(size=3000) * scales).tolist()
+             + [1e16, 1e17, 1e22, 1e-5, -1e-7], "ints": [0, -7, 10**30]},
         ]
-        assert self.c_dump_text(report) == safe_dump_text(report)
+        assert _report_text(report) == safe_dump_text(report)
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.int64(3), (1.0, 2.0), {1.0}, b"x"])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            _report_text({"results": {"value": value}})
+
+    def test_a_container_met_twice_is_refused(self):
+        # yaml.dump would write it once with an &id001 anchor and then an alias
+        shared = [1.0, 2.0]
+        with pytest.raises(ValueError, match="twice"):
+            _report_text({"a": shared, "b": {"c": shared}})
+        apart = {"a": [1.0, 2.0], "b": [1.0, 2.0]}  # equal lists, two objects
+        assert _report_text(apart) == safe_dump_text(apart)
+
 
 class TestCli:
     def scenario_file(self, tmp_path, scenario) -> Path:

@@ -274,8 +274,8 @@ class RecordingSensor(ForceTorqueSensor):
 
     def sample(self, torque, force):
         out = super().sample(torque, force)
-        self.true_by_time[self.time] = (torque, force)
-        self.by_time[self.time] = Wrench(*out, frame=FrameId.WRIST)
+        self.true_by_time[self.time] = (np.array(torque), np.array(force))
+        self.by_time[self.time] = Wrench(out[:3], out[3:], frame=FrameId.WRIST)
         return out
 
 
@@ -436,8 +436,13 @@ class TestConfigValidation:
                 PolicyConfig(**{name: value})
 
 
+def all_floats(values, n) -> bool:
+    return len(values) == n and all(type(v) is float for v in values)
+
+
 class CountingSensor(ForceTorqueSensor):
-    """Counts ``sample`` calls, as a tracer that wraps the method counts ticks."""
+    """Counts ``sample`` calls, as a tracer that wraps the method counts
+    ticks, and checks that each tick gets and returns Python floats."""
 
     def __init__(self, config, rng):
         super().__init__(config, rng)
@@ -445,7 +450,10 @@ class CountingSensor(ForceTorqueSensor):
 
     def sample(self, torque, force):
         self.calls += 1
-        return super().sample(torque, force)
+        assert all_floats(torque, 3) and all_floats(force, 3)
+        out = super().sample(torque, force)
+        assert all_floats(out, 6)
+        return out
 
 
 def implied_presses(trace, config) -> int:

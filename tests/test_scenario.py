@@ -28,7 +28,6 @@ from ftstack.scenario import (
 )
 from ftstack.policy import PolicyConfig
 from ftstack.sensor import ReadingWindow, SensorConfig
-from ftstack.spatial import Wrench
 from ftstack.surfaces import FlatPlane, HeightField, Puck, RampPatch, SphericalCap
 from ftstack.world import BottomProfile, SimParams, TopProfile, World
 
@@ -933,13 +932,11 @@ class TestBuilders:
 
     def test_build_sensor_streams_follow_the_given_rng(self):
         scenario = Scenario.from_dict(minimal_placement())
-        true_w = Wrench(np.zeros(3), np.array([0.0, 0.0, -9.81]))
+        true_torque, true_force = [0.0, 0.0, 0.0], [0.0, 0.0, -9.81]
         s1 = build_sensor(scenario, np.random.default_rng(7))
         s2 = build_sensor(scenario, np.random.default_rng(7))
-        t1, f1 = s1.sample(true_w.torque, true_w.force)
-        t2, f2 = s2.sample(true_w.torque, true_w.force)
-        np.testing.assert_array_equal(t1, t2)
-        np.testing.assert_array_equal(f1, f2)
+        np.testing.assert_array_equal(s1.sample(true_torque, true_force),
+                                      s2.sample(true_torque, true_force))
 
     def test_build_window(self):
         d = minimal_placement()

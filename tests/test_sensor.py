@@ -18,7 +18,13 @@ HOVER = Wrench((0.0, 0.0, 0.0), (0.0, 0.0, -9.81), frame=FrameId.WRIST)
 
 
 def read(sensor, wrench=HOVER):
-    return sensor.sample(wrench.torque, wrench.force)
+    """One ``sample`` call on the wrench's floats, as (3,) torque and force arrays."""
+    out = sensor.sample(wrench.torque.tolist(), wrench.force.tolist())
+    return np.array(out[:3]), np.array(out[3:])
+
+
+def all_floats(values, n) -> bool:
+    return len(values) == n and all(type(v) is float for v in values)
 
 
 def reference_sample(config, rng, true_torque, true_force, index):
@@ -64,9 +70,10 @@ class TestSampling:
         true = np.random.default_rng(5).normal(size=(30, 2, 3))
         true[0] = -0.0  # signed zeros pass through as the arithmetic leaves them
         for i, (tau, f) in enumerate(true):
-            got = sensor.sample(tau, f)
+            got = sensor.sample(tau.tolist(), f.tolist())
+            assert all_floats(got, 6)
             want = reference_sample(cfg, rng, tau, f, i)
-            for g, w in zip(got, want):
+            for g, w in zip((np.array(got[:3]), np.array(got[3:])), want):
                 assert g.shape == (3,)
                 assert np.array_equal(g, w)
                 assert np.array_equal(np.signbit(g), np.signbit(w))
@@ -168,7 +175,101 @@ class TestReadRows:
         Counting(SensorConfig(), np.random.default_rng(0)).read_rows(*true)
         assert len(calls) == 9
         for (tau, f), want_tau, want_f in zip(calls, *true):
-            assert np.array_equal(tau, want_tau) and np.array_equal(f, want_f)
+            assert all_floats(tau, 3) and all_floats(f, 3)
+            assert tau == want_tau.tolist() and f == want_f.tolist()
+
+    @pytest.mark.parametrize("torque_shape, force_shape", [
+        ((5, 3), (3, 3)), ((3, 3), (5, 3)), ((4,), (4,)), ((3,), (3,)), ((2, 6), (2, 6)),
+        ((2, 3), (2, 6)), ((2, 3, 1), (2, 3, 1)), ((0,), (0, 3)),
+    ])
+    def test_refuses_rows_not_both_n_by_3_before_any_draw(self, torque_shape, force_shape):
+        sensor = ForceTorqueSensor(SensorConfig(), np.random.default_rng(4))
+        read(sensor)
+        state = sensor._rng.bit_generator.state
+        with pytest.raises(ValueError) as info:
+            sensor.read_rows(np.zeros(torque_shape), np.zeros(force_shape))
+        assert str(torque_shape) in str(info.value) and str(force_shape) in str(info.value)
+        assert sensor.ticks == 1
+        assert sensor._rng.bit_generator.state == state
+
+
+def random_sensor(rng) -> ForceTorqueSensor:
+    """A sensor with random rate, offsets with signed zeros, and zero or
+    non-zero noise, on a generator of its own."""
+    def offsets():
+        return tuple(signed_rows(rng, 1, rng.choice([1e-3, 0.5]))[0].tolist())
+
+    noise = [0.0 if rng.random() < 0.4 else float(rng.uniform(1e-3, 0.5)) for _ in range(2)]
+    cfg = SensorConfig(sample_rate=float(rng.choice([7.5, 25.0, 100.0, 1000.0])),
+                       noise_force=noise[0], noise_torque=noise[1],
+                       bias_force=offsets(), bias_torque=offsets(),
+                       drift_force=offsets(), drift_torque=offsets())
+    return ForceTorqueSensor(cfg, np.random.default_rng(int(rng.integers(2**32))))
+
+
+def signed_rows(rng, n, scale):
+    """(n, 3) rows with a fifth of their components +0.0 and a fifth -0.0."""
+    rows = rng.normal(0.0, scale, (n, 3))
+    pick = rng.random((n, 3))
+    rows[pick < 0.2] = 0.0
+    rows[pick > 0.8] = -0.0
+    return rows
+
+
+def reference_rows(sensor, torque_rows, force_rows):
+    """The per-tick reference on a copy of the sensor's generator: its
+    ticks' torque and force (3,) arrays, and the copy."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = sensor._rng.bit_generator.state
+    return [reference_sample(sensor.config, rng, tau, f, sensor.ticks + i)
+            for i, (tau, f) in enumerate(zip(torque_rows, force_rows))], rng
+
+
+class TestRandomSensors:
+    """Float ticks against the per-tick array reference on 300 random
+    sensors: signed zeros in rows, bias and drift, zero and non-zero noise,
+    and 0 to 399 rows."""
+
+    SENSORS = 300
+
+    def sensors(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(self.SENSORS):
+            sensor = random_sensor(rng)
+            for _ in range(int(rng.integers(3))):  # lone ticks first, so t starts late
+                read(sensor)
+            yield rng, sensor
+
+    def test_read_rows(self):
+        for rng, sensor in self.sensors(31):
+            n, start = int(rng.integers(400)), sensor.ticks
+            torque_rows, force_rows = signed_rows(rng, n, 0.3), signed_rows(rng, n, 12.0)
+            want, ref_rng = reference_rows(sensor, torque_rows, force_rows)
+            torque, force = sensor.read_rows(torque_rows, force_rows)
+            assert_same_bits(torque, np.array([w[0] for w in want]).reshape(n, 3))
+            assert_same_bits(force, np.array([w[1] for w in want]).reshape(n, 3))
+            assert sensor.ticks == start + n
+            assert sensor._rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_settle_and_average(self):
+        for rng, sensor in self.sensors(32):
+            rate, start = sensor.config.sample_rate, sensor.ticks
+            n_settle, n_avg = int(rng.integers(50)), int(rng.integers(1, 350))
+            window = ReadingWindow((n_settle + 0.5) / rate, (n_avg + 0.5) / rate)
+            n_settle = int(np.floor(window.settle_time * rate))
+            n_avg = int(np.floor(window.average_time * rate))
+            true_tau, true_f = signed_rows(rng, 1, 0.3)[0], signed_rows(rng, 1, 12.0)[0]
+            want, ref_rng = reference_rows(sensor, [true_tau] * (n_settle + n_avg),
+                                           [true_f] * (n_settle + n_avg))
+            acc_tau, acc_f = np.zeros(3), np.zeros(3)
+            for tau, f in want[n_settle:]:  # the per-tick += sum from zero
+                acc_tau += tau
+                acc_f += f
+            torque, force = sensor.settle_and_average(true_tau, true_f, window)
+            assert_same_bits(torque, acc_tau / n_avg)
+            assert_same_bits(force, acc_f / n_avg)
+            assert sensor.ticks == start + n_settle + n_avg
+            assert sensor._rng.bit_generator.state == ref_rng.bit_generator.state
 
 class TestWindows:
     def test_default_window_consumes_two_plus_twelve_samples(self):
